@@ -16,17 +16,20 @@ from .parser import Program, parse_paramset, parse_program, parse_query
 from .terms import is_ground, term_to_str, variables_of
 
 
-def _add_common(p: argparse.ArgumentParser, facts=True):
-    if facts:
-        p.add_argument("--facts", action="append", default=[], metavar="FILE",
-                       help="parameter-set file (repeatable; union)")
+def _add_common(p: argparse.ArgumentParser, meta=True):
+    p.add_argument("--facts", action="append", default=[], metavar="FILE",
+                   help="parameter-set file (repeatable; union)")
     p.add_argument("--wrap", metavar="FUNCTOR",
                    help="wrap every literal with FUNCTOR before evaluation")
     p.add_argument("--exclude-wrap", action="append", default=[], metavar="NAME/ARITY",
                    help="leave NAME/ARITY literals unwrapped (default: clause/2)")
-    p.add_argument("--meta", action="store_true",
-                   help="include builtin rules, call/1, and clause/2 facts "
-                        "synthesized from #object clauses")
+    if meta:
+        p.add_argument("--meta", action="store_true",
+                       help="include builtin rules, call/1, and clause/2 facts "
+                            "synthesized from #object clauses")
+    else:
+        # The builtin rules would land in both components of a composition.
+        p.set_defaults(meta=False)
     p.add_argument("--max-atoms", type=int, default=engine.DEFAULT_MAX_ATOMS)
     p.add_argument("--max-iters", type=int, default=engine.DEFAULT_MAX_ITERS)
     p.add_argument("--max-depth", type=int, default=10_000)
@@ -69,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="evaluate upper over the lower component's output")
     p.add_argument("upper", metavar="UPPER")
     p.add_argument("lower", metavar="LOWER")
-    _add_common(p)
+    _add_common(p, meta=False)
     p.add_argument("--verify-union", action="store_true",
                    help="also evaluate the union program and require agreement")
 
@@ -101,7 +104,7 @@ def _load_program(paths, args) -> Program:
 
 def _load_params(args):
     out = frozenset()
-    for path in getattr(args, "facts", []):
+    for path in args.facts:
         out |= parse_paramset(_read(path), path)
     if args.wrap:
         out = meta.wrap_atoms(out, args.wrap)
@@ -112,10 +115,24 @@ def _limits(args) -> engine.Limits:
     return engine.Limits(args.max_atoms, args.max_iters, args.max_depth)
 
 
-def _require_allowable(prog, params):
+def _load_checked(args):
+    """The program and the parameter set of a single-program command, with
+    the parameter set required to be allowable."""
+    prog = _load_program(args.programs, args)
+    params = _load_params(args)
     report = components.check_allowable(prog, params)
     if not report.ok:
         raise IndsemError(f"parameter set is not allowable:\n{report}")
+    return prog, params
+
+
+def _print_answers(goal, answers) -> None:
+    if is_ground(goal):
+        print("true." if answers else "false.")
+        return
+    names = variables_of(goal)
+    for s in answers:
+        print(", ".join(f"{n} = {term_to_str(s[n])}" for n in names if n in s))
 
 
 def _oracle_check(prog, params, atoms, out=sys.stderr) -> bool:
@@ -132,9 +149,7 @@ def _oracle_check(prog, params, atoms, out=sys.stderr) -> bool:
 
 
 def _cmd_model(args) -> int:
-    prog = _load_program(args.programs, args)
-    params = _load_params(args)
-    _require_allowable(prog, params)
+    prog, params = _load_checked(args)
     model = engine.least_fixpoint(prog, params, _limits(args))
     sys.stdout.write(engine.dump_model(model.atoms))
     if args.oracle and not _oracle_check(prog, params, model.atoms):
@@ -143,28 +158,17 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    prog = _load_program(args.programs, args)
-    params = _load_params(args)
-    _require_allowable(prog, params)
+    prog, params = _load_checked(args)
     goal = parse_query(args.query)
-    answers = engine.query(prog, params, goal, _limits(args))
-    if is_ground(goal):
-        print("true." if answers else "false.")
-    else:
-        names = variables_of(goal)
-        for s in answers:
-            print(", ".join(f"{n} = {term_to_str(s[n])}" for n in names if n in s))
-    if args.oracle:
-        model = engine.least_fixpoint(prog, params, _limits(args))
-        if not _oracle_check(prog, params, model.atoms):
-            return 1
+    model = engine.least_fixpoint(prog, params, _limits(args))
+    _print_answers(goal, engine.answers(model.atoms, goal))
+    if args.oracle and not _oracle_check(prog, params, model.atoms):
+        return 1
     return 0
 
 
 def _cmd_explain(args) -> int:
-    prog = _load_program(args.programs, args)
-    params = _load_params(args)
-    _require_allowable(prog, params)
+    prog, params = _load_checked(args)
     goal = parse_query(args.query)
     j = justify.prove(prog, params, goal, _limits(args))
     if j is None:
@@ -184,15 +188,14 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if len(args.programs) > 2:
-        print("check takes one program, or upper and lower", file=sys.stderr)
+    if len(args.programs) > 2 or (args.meta and len(args.programs) == 2):
+        print("check takes one program, or upper and lower without --meta",
+              file=sys.stderr)
         return 2
-    progs = [
-        parse_program(_read(p), p) for p in args.programs
-    ]
+    progs = [_load_program([p], args) for p in args.programs]
     params = _load_params(args)
     ok = True
-    whole = progs[0] if len(progs) == 1 else Program(progs[0].templates + progs[1].templates)
+    whole = progs[0] if len(progs) == 1 else progs[0] + progs[1]
 
     report = components.check_allowable(whole, params)
     if report.ok:
@@ -215,34 +218,20 @@ def _cmd_check(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
 
     if len(progs) == 2:
-        try:
-            upper, lower = progs
-            pairs = []
-            lower_terms = [(t.head, f"head at {t.loc}") for t in lower.templates]
-            lower_terms += [(b, f"body at {t.loc}") for t in lower.templates
-                            for b in t.pos_body]
-            from .terms import unifiable
-            for t in upper.templates:
-                for term, where in lower_terms:
-                    if unifiable(t.head, term):
-                        pairs.append((t.head, term, where))
-            if pairs:
-                ok = False
-                print(f"composition precondition: {len(pairs)} violation(s)")
-                for h, term, where in pairs:
-                    print(f"  head {term_to_str(h)} unifies with "
-                          f"{term_to_str(term)} ({where})", file=sys.stderr)
-            else:
-                print("composition precondition: ok")
-        except IndsemError as exc:
+        pairs = components.composition_conflicts(*progs)
+        if pairs:
             ok = False
-            print(f"composition precondition: error: {exc}", file=sys.stderr)
+            print(f"composition precondition: {len(pairs)} violation(s)")
+            for head, term, where in pairs:
+                print(f"  head {head} unifies with {term} ({where})", file=sys.stderr)
+        else:
+            print("composition precondition: ok")
     return 0 if ok else 1
 
 
 def _cmd_compose(args) -> int:
-    upper = parse_program(_read(args.upper), args.upper)
-    lower = parse_program(_read(args.lower), args.lower)
+    upper = _load_program([args.upper], args)
+    lower = _load_program([args.lower], args)
     params = _load_params(args)
     model = components.compose(upper, lower, params, _limits(args),
                                verify_union=args.verify_union)
@@ -251,9 +240,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_repl(args) -> int:
-    prog = _load_program(args.programs, args)
-    params = _load_params(args)
-    _require_allowable(prog, params)
+    prog, params = _load_checked(args)
     cache = {}
 
     def model():
@@ -273,16 +260,7 @@ def _cmd_repl(args) -> int:
                 return 0
             if line.startswith("?-"):
                 goal = parse_query(line[2:].strip())
-                if is_ground(goal):
-                    print("true." if goal in model().atoms else "false.")
-                else:
-                    names = variables_of(goal)
-                    from .terms import match
-                    for g in sorted(model().atoms, key=lambda t: term_to_str(t)):
-                        s = match(goal, g)
-                        if s is not None:
-                            print(", ".join(f"{n} = {term_to_str(s[n])}"
-                                            for n in names if n in s))
+                _print_answers(goal, engine.answers(model().atoms, goal))
             elif line.startswith("explain "):
                 goal = parse_query(line[len("explain "):].strip())
                 j = justify.prove(prog, params, goal, _limits(args))

@@ -3,7 +3,7 @@ composition of components, and model satisfaction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import engine
@@ -13,7 +13,7 @@ from .errors import (
     CompositionMismatchError,
     CompositionPreconditionError,
 )
-from .parser import Program, RuleTemplate
+from .parser import Program
 from .terms import Term, term_to_str, unifiable
 
 
@@ -82,6 +82,23 @@ def stratify(program: Program) -> Stratification:
     return stratify_templates(program.templates)
 
 
+def composition_conflicts(upper: Program, lower: Program) -> list[tuple[str, str, str]]:
+    """Violations of the composition precondition, as (upper head, lower
+    template, where) strings: every head of the upper program that unifies
+    with a head or body template of the lower one.  Empty when composition
+    is sound."""
+    lower_terms = [(t.head, f"head at {t.loc}") for t in lower.templates]
+    lower_terms += [
+        (b, f"body at {t.loc}") for t in lower.templates for b in t.pos_body
+    ]
+    return [
+        (term_to_str(t.head), term_to_str(term), where)
+        for t in upper.templates
+        for term, where in lower_terms
+        if unifiable(t.head, term)
+    ]
+
+
 def compose(
     upper: Program,
     lower: Program,
@@ -95,15 +112,7 @@ def compose(
     template of the lower one; with verify_union the union program is also
     evaluated and checked for exact agreement.
     """
-    pairs = []
-    lower_terms = [(t.head, f"head at {t.loc}") for t in lower.templates]
-    lower_terms += [
-        (b, f"body at {t.loc}") for t in lower.templates for b in t.pos_body
-    ]
-    for t in upper.templates:
-        for term, where in lower_terms:
-            if unifiable(t.head, term):
-                pairs.append((term_to_str(t.head), term_to_str(term), where))
+    pairs = composition_conflicts(upper, lower)
     if pairs:
         raise CompositionPreconditionError(pairs)
 

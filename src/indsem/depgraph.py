@@ -9,6 +9,7 @@ it and the strata can soundly be chained as parameter sets.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import UnstratifiableError
@@ -152,15 +153,14 @@ def _negative_cycle(templates, dep_edges, comp, bad: DepEdge):
     if bad.src == bad.dst:
         return (templates[bad.src],)
     # BFS from dst back to src inside the component.
-    inside = {e.src: [] for e in dep_edges if comp[e.src] == c}
     adj: dict[int, list[int]] = {}
     for e in dep_edges:
         if comp[e.src] == c and comp[e.dst] == c:
             adj.setdefault(e.src, []).append(e.dst)
     prev = {bad.dst: None}
-    queue = [bad.dst]
+    queue = deque([bad.dst])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         if v == bad.src:
             break
         for w in adj.get(v, []):

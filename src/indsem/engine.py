@@ -22,7 +22,7 @@ from .errors import (
     UncallableLiteralError,
     VariableHeadRestrictionError,
 )
-from .parser import Program, RuleTemplate, template_to_str
+from .parser import Program, RuleTemplate
 from .terms import (
     Compound,
     Subst,
@@ -31,6 +31,7 @@ from .terms import (
     apply_subst,
     is_ground,
     match,
+    sort_key,
     term_to_str,
 )
 
@@ -194,29 +195,28 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     return ModelSet(current, total)
 
 
-def query(program: Program, params, goal: Term, limits: Optional[Limits] = None):
-    """All substitutions matching the goal against the computed model."""
+def answers(atoms, goal: Term) -> list[Subst]:
+    """All distinct substitutions matching the goal against a model's atoms,
+    in the canonical order of the atoms they match."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeQueryError(f"cannot query a negation: {term_to_str(goal)}")
-    model = least_fixpoint(program, params, limits)
-    answers = []
+    out = []
     seen = set()
-    for g in sorted(model.atoms, key=_atom_key):
+    for g in sorted(atoms, key=sort_key):
         s = match(goal, g)
         if s is not None:
             frozen = tuple(sorted(s.items()))
             if frozen not in seen:
                 seen.add(frozen)
-                answers.append(s)
-    return answers
+                out.append(s)
+    return out
 
 
-def _atom_key(t: Term):
-    from .terms import sort_key
-
-    return sort_key(t)
+def query(program: Program, params, goal: Term, limits: Optional[Limits] = None):
+    """All substitutions matching the goal against the computed model."""
+    return answers(least_fixpoint(program, params, limits).atoms, goal)
 
 
 def dump_model(atoms) -> str:
     """Canonical model text: one sorted ground term per line."""
-    return "".join(f"{term_to_str(t)}.\n" for t in sorted(atoms, key=_atom_key))
+    return "".join(f"{term_to_str(t)}.\n" for t in sorted(atoms, key=sort_key))

@@ -36,7 +36,6 @@ from .terms import (
     Compound,
     Term,
     Var,
-    apply_subst,
     is_ground,
     match,
     rename_term,
@@ -298,11 +297,15 @@ def prove(
     if any(t.neg_body for t in program.templates):
         stratify_templates(program.templates)  # reject unstratifiable programs
     limits = limits or engine.Limits()
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 20 * limits.max_depth + 10_000))
-    prover = _Prover(program, params, limits)
-    if prover.prove_ground(goal, 0):
-        return prover.reconstruct(goal)
-    return None
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 20 * limits.max_depth + 10_000))
+    try:
+        prover = _Prover(program, params, limits)
+        if prover.prove_ground(goal, 0):
+            return prover.reconstruct(goal)
+        return None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 # ---------------------------------------------------------------------------

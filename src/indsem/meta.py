@@ -13,8 +13,8 @@ from .errors import (
     NegationInObjectProgramError,
     UnsupportedFeatureError,
 )
-from .parser import Program, RuleTemplate, SourceLoc, parse_program
-from .terms import Compound, Term, Var, functors_of, term_to_str
+from .parser import Program, RuleTemplate, parse_program
+from .terms import Compound, Term, functors_of
 
 DEFAULT_WRAP_EXCLUDE = frozenset({("clause", 2)})
 

@@ -17,7 +17,7 @@ from typing import Iterable
 from .engine import GroundRule
 from .errors import UniverseTooLargeError, UnstratifiableError
 from .parser import Program, RuleTemplate
-from .terms import Compound, Term, Var, apply_subst, constants_of, is_ground, term_to_str
+from .terms import Term, Var, apply_subst, constants_of, is_ground, term_to_str
 
 DEFAULT_INSTANCE_CAP = 500_000
 

@@ -11,7 +11,7 @@ occur as body items and `','/2` compounds everywhere else, so the head of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonGroundParameterError, ParseError

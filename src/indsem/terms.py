@@ -11,7 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from conftest import CORPUS, META, PAIRS
+from indsem import engine
 from indsem.cli import main
 
 
@@ -171,6 +172,30 @@ def test_compose_matches_union_model(capsys):
     assert out == out2
 
 
+def test_compose_wrapped_matches_wrapped_union_model(capsys):
+    code, out, _ = run(capsys, "compose", str(PAIRS / "pair1_upper.ind"),
+                       str(PAIRS / "pair1_lower.ind"),
+                       "--facts", str(PAIRS / "pair1.facts"), "--wrap", "holds")
+    assert code == 0
+    code2, out2, _ = run(capsys, "model", str(PAIRS / "pair1_upper.ind"),
+                         str(PAIRS / "pair1_lower.ind"),
+                         "--facts", str(PAIRS / "pair1.facts"), "--wrap", "holds")
+    assert code2 == 0
+    assert "holds(tc(1,3)).\n" in out
+    assert out == out2
+
+
+def test_meta_rejected_for_two_programs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compose", str(PAIRS / "pair1_upper.ind"),
+              str(PAIRS / "pair1_lower.ind"), "--meta"])
+    assert exc.value.code == 2
+    code, _, err = run(capsys, "check", str(PAIRS / "pair1_upper.ind"),
+                       str(PAIRS / "pair1_lower.ind"), "--meta")
+    assert code == 2
+    assert "without --meta" in err
+
+
 def test_compose_bad_pair(capsys):
     code, _, err = run(capsys, "compose", str(PAIRS / "bad_upper.ind"),
                        str(PAIRS / "bad_lower.ind"))
@@ -193,6 +218,34 @@ def test_model_wrapped(capsys):
     ]
 
 
+def test_check_and_model_agree_on_wrapped_allowability(capsys, tmp_path):
+    facts = tmp_path / "bad.facts"
+    facts.write_text("tc(a,b).\n")
+    argv = (_p("tc_small.ind"), "--facts", str(facts), "--wrap", "w")
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 1
+    assert "allowability: 2 violation(s)" in out
+    assert "w(tc(a,b))" in err
+    code, _, err = run(capsys, "model", *argv)
+    assert code == 1
+    assert "not allowable" in err
+
+
+def test_query_oracle_computes_the_model_once(capsys, monkeypatch):
+    calls = []
+    fixpoint = engine.least_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fixpoint(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "least_fixpoint", counted)
+    code, out, _ = run(capsys, "query", _p("tc_small.ind"),
+                       "--facts", _p("tc_small.facts"), "-q", "tc(1,Y)", "--oracle")
+    assert (code, out) == (0, "Y = 2\nY = 3\n")
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # repl
 # ---------------------------------------------------------------------------
@@ -213,3 +266,27 @@ def test_repl_session(capsys, monkeypatch):
 def test_repl_eof_exits(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     assert main(["repl", _p("chain.ind")]) == 0
+
+
+def test_repl_answers_in_query_order(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "q.ind"
+    prog.write_text("q('a b').\nq(a).\n")
+    code, expected, _ = run(capsys, "query", str(prog), "-q", "q(X)")
+    assert code == 0
+    assert expected == "X = a\nX = 'a b'\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("?- q(X).\n"))
+    assert main(["repl", str(prog)]) == 0
+    assert capsys.readouterr().out == "indsem> " + expected + "indsem> "
+
+
+def test_repl_rejects_negative_query(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "q.ind"
+    prog.write_text("q(a).\n")
+    code, _, err = run(capsys, "query", str(prog), "-q", "not(q(a))")
+    assert code == 1
+    assert "cannot query a negation" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("?- not(q(a)).\n"))
+    assert main(["repl", str(prog)]) == 0
+    out, err = capsys.readouterr()
+    assert "false." not in out
+    assert "cannot query a negation" in err

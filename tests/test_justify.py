@@ -1,5 +1,7 @@
 """Justification sequences: the prover, the checker, and their formatting."""
 
+import sys
+
 import pytest
 
 from indsem import engine
@@ -106,6 +108,21 @@ def test_depth_cap():
     with pytest.raises(ResourceLimitError):
         prove(prog, frozenset(), parse_term("p59"), engine.Limits(max_depth=5))
     assert prove(prog, frozenset(), parse_term("p59")) is not None
+
+
+def test_prove_restores_recursion_limit():
+    lines = ["p0."] + [f"p{i} :- p{i - 1}." for i in range(1, 60)]
+    prog = parse_program("\n".join(lines) + "\n")
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        with pytest.raises(ResourceLimitError):
+            prove(prog, frozenset(), parse_term("p59"), engine.Limits(max_depth=5))
+        assert sys.getrecursionlimit() == 2000
+        assert prove(prog, frozenset(), parse_term("p59")) is not None
+        assert sys.getrecursionlimit() == 2000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_agreement_with_model_membership():
