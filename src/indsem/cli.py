@@ -11,28 +11,42 @@ import argparse
 import sys
 
 from . import components, engine, justify, meta, oracle
-from .errors import IndsemError, ParseError, ResourceLimitError
+from .errors import AllowabilityError, IndsemError, ParseError, ResourceLimitError
 from .parser import Program, parse_paramset, parse_program, parse_query
 from .terms import is_ground, term_to_str, variables_of
 
 
-def _add_common(p: argparse.ArgumentParser, meta=True):
-    p.add_argument("--facts", action="append", default=[], metavar="FILE",
-                   help="parameter-set file (repeatable; union)")
-    p.add_argument("--wrap", metavar="FUNCTOR",
-                   help="wrap every literal with FUNCTOR before evaluation")
-    p.add_argument("--exclude-wrap", action="append", default=[], metavar="NAME/ARITY",
-                   help="leave NAME/ARITY literals unwrapped (default: clause/2)")
-    if meta:
-        p.add_argument("--meta", action="store_true",
-                       help="include builtin rules, call/1, and clause/2 facts "
-                            "synthesized from #object clauses")
-    else:
-        # The builtin rules would land in both components of a composition.
-        p.set_defaults(meta=False)
-    p.add_argument("--max-atoms", type=int, default=engine.DEFAULT_MAX_ATOMS)
-    p.add_argument("--max-iters", type=int, default=engine.DEFAULT_MAX_ITERS)
-    p.add_argument("--max-depth", type=int, default=10_000)
+def _name_arity(text: str) -> tuple[str, int]:
+    name, _, arity = text.rpartition("/")
+    if not name or not arity.isdigit():
+        raise argparse.ArgumentTypeError(f"expected NAME/ARITY, got {text!r}")
+    return name, int(arity)
+
+
+_OPTIONS = {
+    "--facts": dict(action="append", default=[], metavar="FILE",
+                    help="parameter-set file (repeatable; union)"),
+    "--wrap": dict(metavar="FUNCTOR",
+                   help="wrap every literal and parameter with FUNCTOR before evaluation"),
+    # append extends a copy of the default, so clause/2 always stays excluded.
+    "--exclude-wrap": dict(action="append", type=_name_arity,
+                           default=sorted(meta.DEFAULT_WRAP_EXCLUDE), metavar="NAME/ARITY",
+                           help="leave NAME/ARITY literals and parameters unwrapped "
+                                "(always: clause/2)"),
+    "--meta": dict(action="store_true",
+                   help="include builtin rules, call/1, and clause/2 facts "
+                        "synthesized from #object clauses"),
+    "--max-atoms": dict(type=int, default=engine.DEFAULT_MAX_ATOMS),
+    "--max-iters": dict(type=int, default=engine.DEFAULT_MAX_ITERS),
+    "--max-depth": dict(type=int, default=engine.DEFAULT_MAX_DEPTH),
+}
+_LOAD = ("--facts", "--wrap", "--exclude-wrap", "--meta")
+_EVALUATE = _LOAD + ("--max-atoms", "--max-iters")
+
+
+def _add_options(p: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,41 +58,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="compute and dump the least model")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
-    _add_common(p)
+    _add_options(p, _EVALUATE)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check the model against the brute-force oracle")
 
     p = sub.add_parser("query", help="enumerate answers for a query")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
     p.add_argument("-q", "--query", required=True)
-    _add_common(p)
+    _add_options(p, _EVALUATE)
     p.add_argument("--oracle", action="store_true")
 
     p = sub.add_parser("explain", help="print a justification for a ground goal")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
     p.add_argument("-q", "--query", required=True)
-    _add_common(p)
+    # The prover caps its candidate model itself, so --max-atoms would be ignored.
+    _add_options(p, _LOAD + ("--max-iters", "--max-depth"))
 
     p = sub.add_parser("strata", help="print the stratification")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
-    _add_common(p)
+    _add_options(p, ("--wrap", "--exclude-wrap", "--meta"))
 
     p = sub.add_parser("check", help="allowability, stratification, and "
                                      "composition-precondition report")
     p.add_argument("programs", nargs="+", metavar="PROGRAM",
                    help="one program, or upper and lower for a composition check")
-    _add_common(p)
+    _add_options(p, _LOAD)
 
     p = sub.add_parser("compose", help="evaluate upper over the lower component's output")
     p.add_argument("upper", metavar="UPPER")
     p.add_argument("lower", metavar="LOWER")
-    _add_common(p, meta=False)
+    # No --meta: the builtin rules would land in both components.
+    _add_options(p, ("--facts", "--wrap", "--exclude-wrap", "--max-atoms", "--max-iters"))
+    p.set_defaults(meta=False)
     p.add_argument("--verify-union", action="store_true",
                    help="also evaluate the union program and require agreement")
 
     p = sub.add_parser("repl", help="interactive query loop")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
-    _add_common(p)
+    _add_options(p, _EVALUATE + ("--max-depth",))
     return ap
 
 
@@ -94,11 +111,7 @@ def _load_program(paths, args) -> Program:
     if args.meta:
         prog = meta.assemble_meta(prog)
     if args.wrap:
-        exclude = set(meta.DEFAULT_WRAP_EXCLUDE)
-        for spec_item in args.exclude_wrap:
-            name, _, arity = spec_item.rpartition("/")
-            exclude.add((name, int(arity)))
-        prog = meta.wrap(prog, args.wrap, frozenset(exclude))
+        prog = meta.wrap(prog, args.wrap, frozenset(args.exclude_wrap))
     return prog
 
 
@@ -107,12 +120,13 @@ def _load_params(args):
     for path in args.facts:
         out |= parse_paramset(_read(path), path)
     if args.wrap:
-        out = meta.wrap_atoms(out, args.wrap)
+        out = meta.wrap_atoms(out, args.wrap, frozenset(args.exclude_wrap))
     return out
 
 
 def _limits(args) -> engine.Limits:
-    return engine.Limits(args.max_atoms, args.max_iters, args.max_depth)
+    """The limits the subcommand takes; the others keep their defaults."""
+    return engine.Limits(**{k: v for k, v in vars(args).items() if k.startswith("max_")})
 
 
 def _load_checked(args):
@@ -122,7 +136,7 @@ def _load_checked(args):
     params = _load_params(args)
     report = components.check_allowable(prog, params)
     if not report.ok:
-        raise IndsemError(f"parameter set is not allowable:\n{report}")
+        raise AllowabilityError(report)
     return prog, params
 
 
@@ -272,6 +286,8 @@ def _cmd_repl(args) -> int:
                 print("commands: ?- <query>.   explain <ground term>.   quit.")
         except IndsemError as exc:
             print(f"error: {exc}", file=sys.stderr)
+        except RecursionError:
+            _print_recursion_error()
 
 
 _COMMANDS = {
@@ -283,6 +299,12 @@ _COMMANDS = {
     "compose": _cmd_compose,
     "repl": _cmd_repl,
 }
+
+
+def _print_recursion_error() -> None:
+    # Term code recurses on nesting depth; a deep term is a resource limit.
+    print(f"error: term nested beyond the recursion limit ({sys.getrecursionlimit()})",
+          file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -297,6 +319,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        _print_recursion_error()
         return 3
     except IndsemError as exc:
         print(f"error: {exc}", file=sys.stderr)

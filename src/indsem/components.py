@@ -116,11 +116,11 @@ def compose(
     if pairs:
         raise CompositionPreconditionError(pairs)
 
+    # The union holds the lower templates, so its violations include theirs.
     union = Program(upper.templates + lower.templates)
-    for prog, label in ((lower, "lower component"), (union, "union")):
-        report = check_allowable(prog, params)
-        if not report.ok:
-            raise AllowabilityError(report)
+    report = check_allowable(union, params)
+    if not report.ok:
+        raise AllowabilityError(report)
 
     inner = engine.least_fixpoint(lower, params, limits)
     outer = engine.least_fixpoint(upper, inner.atoms, limits)
@@ -138,20 +138,10 @@ def compose(
 def satisfies(model, program: Program, limits: Optional[engine.Limits] = None) -> bool:
     """Head-restricted model check: the model must agree with the least set
     seeded by its own non-head body atoms, on the head region."""
-    model = frozenset(model)
     sig = signature(program)
-
-    def head_unifiable(a):
-        return any(unifiable(a, h) for h in sig.head_templates)
-
-    def body_unifiable(a):
-        return any(unifiable(a, b) for b in sig.body_templates)
-
-    params = frozenset(a for a in model if body_unifiable(a) and not head_unifiable(a))
-    fixed = engine.least_fixpoint(program, params, limits)
-    universe = model | fixed.atoms
-    head_region = {a for a in universe if head_unifiable(a)}
-    return (fixed.atoms & head_region) == (model & head_region)
+    heads, bodies, _ = ground_projection(sig, model)
+    fixed = engine.least_fixpoint(program, frozenset(bodies - heads), limits)
+    return ground_projection(sig, fixed.atoms)[0] == heads
 
 
 def nested_negation_warnings(program: Program) -> list[str]:

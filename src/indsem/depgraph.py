@@ -8,7 +8,6 @@ it and the strata can soundly be chained as parameter sets.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -18,20 +17,14 @@ from .terms import unifiable
 
 
 @dataclass(frozen=True)
-class DepEdge:
-    src: int
-    dst: int
-    negative: bool
-
-
-@dataclass(frozen=True)
 class Stratification:
     strata: tuple[tuple[RuleTemplate, ...], ...]
-    edges: tuple[DepEdge, ...]
 
 
 def _scc(n: int, adj: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns component id per node."""
+    """Iterative Tarjan; returns component id per node.  A component gets its
+    id only after every component it reaches, so ascending ids are a
+    bottom-up order of the condensation."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -80,95 +73,58 @@ def _scc(n: int, adj: list[list[int]]) -> list[int]:
 def stratify_templates(templates: tuple[RuleTemplate, ...]) -> Stratification:
     n = len(templates)
     heads = [t.head for t in templates]
-    dep_edges: list[DepEdge] = []
-    adj: list[set[int]] = [set() for _ in range(n)]
+    deps: list[list[int]] = [[] for _ in range(n)]
+    negative: list[tuple[int, int]] = []
 
     for i, t in enumerate(templates):
-        for b in t.pos_body:
+        for k, lit in enumerate(t.pos_body + t.neg_body):
             for j, h in enumerate(heads):
-                if unifiable(b, h):
-                    dep_edges.append(DepEdge(i, j, False))
-                    adj[i].add(j)
-        for nterm in t.neg_body:
-            for j, h in enumerate(heads):
-                if unifiable(nterm, h):
-                    dep_edges.append(DepEdge(i, j, True))
-                    adj[i].add(j)
+                if unifiable(lit, h):
+                    deps[i].append(j)
+                    if k >= len(t.pos_body):
+                        negative.append((i, j))
 
     # Rules with unifiable heads must share a component.
+    adj = [list(d) for d in deps]
     for i in range(n):
         for j in range(i + 1, n):
             if unifiable(heads[i], heads[j]):
-                adj[i].add(j)
-                adj[j].add(i)
+                adj[i].append(j)
+                adj[j].append(i)
 
-    comp = _scc(n, [sorted(a) for a in adj])
+    comp = _scc(n, adj)
 
-    for e in dep_edges:
-        if e.negative and comp[e.src] == comp[e.dst]:
-            cycle = _negative_cycle(templates, dep_edges, comp, e)
+    for src, dst in negative:
+        if comp[src] == comp[dst]:
+            cycle = _negative_cycle(templates, deps, comp, src, dst)
             shown = " -> ".join(f"{t.loc} {template_to_str(t)}" for t in cycle)
             raise UnstratifiableError(
                 f"negation inside a recursive component: {shown}", cycle
             )
 
-    # Deterministic bottom-up order: topological over the condensation,
-    # ties broken by the smallest source line of any member template.
-    ncomp = max(comp, default=-1) + 1
-    members: list[list[int]] = [[] for _ in range(ncomp)]
-    for i, c in enumerate(comp):
-        members[c].append(i)
-    succ: list[set[int]] = [set() for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for e in dep_edges:
-        a, b = comp[e.src], comp[e.dst]
-        if a != b and a not in succ[b]:
-            # b must be evaluated before a
-            succ[b].add(a)
-            indeg[a] += 1
-
-    def tiebreak(c: int):
-        return (min(templates[i].loc.line for i in members[c]), min(members[c]))
-
-    ready = [(tiebreak(c), c) for c in range(ncomp) if indeg[c] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, c = heapq.heappop(ready)
-        order.append(c)
-        for d in succ[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(ready, (tiebreak(d), d))
-
-    strata = tuple(
-        tuple(templates[i] for i in sorted(members[c])) for c in order
-    )
-    return Stratification(strata, tuple(dep_edges))
+    strata: list[list[RuleTemplate]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for t, c in zip(templates, comp):
+        strata[c].append(t)
+    return Stratification(tuple(tuple(s) for s in strata))
 
 
-def _negative_cycle(templates, dep_edges, comp, bad: DepEdge):
-    """A rule cycle through the offending negative edge, as a witness."""
-    c = comp[bad.src]
-    if bad.src == bad.dst:
-        return (templates[bad.src],)
+def _negative_cycle(templates, deps, comp, src: int, dst: int):
+    """A rule cycle through the negative edge src -> dst, as a witness."""
+    if src == dst:
+        return (templates[src],)
     # BFS from dst back to src inside the component.
-    adj: dict[int, list[int]] = {}
-    for e in dep_edges:
-        if comp[e.src] == c and comp[e.dst] == c:
-            adj.setdefault(e.src, []).append(e.dst)
-    prev = {bad.dst: None}
-    queue = deque([bad.dst])
+    prev = {dst: None}
+    queue = deque([dst])
     while queue:
         v = queue.popleft()
-        if v == bad.src:
+        if v == src:
             break
-        for w in adj.get(v, []):
-            if w not in prev:
+        for w in deps[v]:
+            if w not in prev and comp[w] == comp[src]:
                 prev[w] = v
                 queue.append(w)
     path = []
-    v = bad.src if bad.src in prev else bad.dst
+    v = src if src in prev else dst
     while v is not None:
         path.append(v)
         v = prev[v]

@@ -37,13 +37,14 @@ from .terms import (
 
 DEFAULT_MAX_ATOMS = 1_000_000
 DEFAULT_MAX_ITERS = 10_000
+DEFAULT_MAX_DEPTH = 10_000
 
 
 @dataclass(frozen=True)
 class Limits:
     max_atoms: int = DEFAULT_MAX_ATOMS
     max_iters: int = DEFAULT_MAX_ITERS
-    max_depth: int = 10_000
+    max_depth: int = DEFAULT_MAX_DEPTH
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class UnstratifiableError(IndsemError):
 
 class AllowabilityError(IndsemError):
     def __init__(self, report):
-        super().__init__(str(report))
+        super().__init__(f"parameter set is not allowable:\n{report}")
         self.report = report
 
 

@@ -203,6 +203,56 @@ def test_compose_bad_pair(capsys):
     assert "composition precondition" in err
 
 
+def test_compose_reports_unallowable_params_like_model(capsys, tmp_path):
+    facts = tmp_path / "edge.facts"
+    facts.write_text("edge(1,2).\n")
+    code, _, err = run(capsys, "compose", str(PAIRS / "pair1_upper.ind"),
+                       str(PAIRS / "pair1_lower.ind"), "--facts", str(facts))
+    assert code == 1
+    assert "not allowable" in err
+
+
+# Options a subcommand would accept and then ignore.
+_UNREAD_OPTIONS = [
+    ("strata", "--facts"), ("strata", "--max-atoms"), ("strata", "--max-iters"),
+    ("strata", "--max-depth"), ("check", "--max-atoms"), ("check", "--max-iters"),
+    ("check", "--max-depth"), ("model", "--max-depth"), ("query", "--max-depth"),
+    ("compose", "--max-depth"), ("explain", "--max-atoms"),
+]
+
+
+@pytest.mark.parametrize("command, option", _UNREAD_OPTIONS)
+def test_unread_option_is_exit_2(command, option):
+    if command == "compose":
+        argv = [command, str(PAIRS / "pair1_upper.ind"), str(PAIRS / "pair1_lower.ind")]
+    else:
+        argv = [command, _p("tc_small.ind")]
+    if command in ("query", "explain"):
+        argv += ["-q", "tc(1,3)"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, "1"])
+    assert exc.value.code == 2
+
+
+def test_deep_terms_are_exit_3(capsys, monkeypatch, tmp_path):
+    prog = tmp_path / "deep.ind"
+    prog.write_text("f(0).\nf(s(s(s(s(s(s(s(s(X))))))))) :- f(X).\n")
+    code, _, err = run(capsys, "model", str(prog))
+    assert code == 3
+    assert "recursion limit" in err and "Traceback" not in err
+    deep = "f(" * 3000 + "0" + ")" * 3000
+    facts = tmp_path / "deep.facts"
+    facts.write_text(f"p({deep}).\n")
+    code, _, err = run(capsys, "model", _p("tc_small.ind"), "--facts", str(facts))
+    assert code == 3
+    assert "recursion limit" in err and "Traceback" not in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"?- p({deep}).\n?- tc(1,X).\n"))
+    assert main(["repl", _p("tc_small.ind"), "--facts", _p("tc_small.facts")]) == 0
+    out, err = capsys.readouterr()
+    assert "recursion limit" in err
+    assert "X = 2" in out
+
+
 # ---------------------------------------------------------------------------
 # wrapping
 # ---------------------------------------------------------------------------
@@ -216,6 +266,24 @@ def test_model_wrapped(capsys):
         "holds(edge(1,2)).", "holds(edge(2,3)).",
         "holds(tc(1,2)).", "holds(tc(1,3)).", "holds(tc(2,3)).",
     ]
+
+
+def test_exclude_wrap_applies_to_the_facts(capsys):
+    code, out, _ = run(capsys, "model", _p("tc_small.ind"),
+                       "--facts", _p("tc_small.facts"), "--wrap", "holds",
+                       "--exclude-wrap", "edge/2")
+    assert code == 0
+    assert out.splitlines() == [
+        "edge(1,2).", "edge(2,3).",
+        "holds(tc(1,2)).", "holds(tc(1,3)).", "holds(tc(2,3)).",
+    ]
+
+
+def test_exclude_wrap_needs_name_and_arity(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["model", _p("tc_small.ind"), "--wrap", "holds", "--exclude-wrap", "edge"])
+    assert exc.value.code == 2
+    assert "NAME/ARITY" in capsys.readouterr().err
 
 
 def test_check_and_model_agree_on_wrapped_allowability(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Component analyses: signatures, allowability, strata, composition, satisfaction."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import load_pair, pair_names
 from indsem import components, engine
@@ -13,6 +14,7 @@ from indsem.components import (
     signature,
     stratify,
 )
+from indsem.depgraph import stratify_templates
 from indsem.errors import (
     AllowabilityError,
     CompositionMismatchError,
@@ -20,6 +22,7 @@ from indsem.errors import (
     UnstratifiableError,
 )
 from indsem.parser import parse_paramset, parse_program, parse_term
+from indsem.terms import unifiable
 
 
 def _atoms(text):
@@ -91,6 +94,41 @@ def test_unifiable_heads_share_a_stratum():
         heads = [t.head for t in stratum]
         if parse_term("p(a)") in heads:
             assert parse_term("p(X)") in heads
+
+
+_literals = st.builds(
+    lambda name, arg: name if arg is None else f"{name}({arg})",
+    st.sampled_from("pqrs"),
+    st.none() | st.sampled_from(["a", "b", "X", "Y"]),
+)
+_rules = st.builds(
+    lambda head, body: head + "".join(
+        (" :- " if k == 0 else ", ") + (f"not({lit})" if neg else lit)
+        for k, (lit, neg) in enumerate(body)
+    ) + ".\n",
+    _literals,
+    st.lists(st.tuples(_literals, st.booleans()), max_size=2),
+)
+
+
+@given(st.lists(_rules, min_size=1, max_size=6))
+def test_strata_are_bottom_up(rules):
+    templates = parse_program("".join(rules)).templates
+    try:
+        strata = stratify_templates(templates).strata
+    except UnstratifiableError as err:
+        assert err.cycle
+        return
+    level = {id(t): k for k, stratum in enumerate(strata) for t in stratum}
+    assert sum(map(len, strata)) == len(templates) == len(level)
+    for t in templates:
+        for u in templates:
+            if unifiable(t.head, u.head):
+                assert level[id(t)] == level[id(u)]
+            if any(unifiable(b, u.head) for b in t.pos_body):
+                assert level[id(u)] <= level[id(t)]
+            if any(unifiable(n, u.head) for n in t.neg_body):
+                assert level[id(u)] < level[id(t)]
 
 
 # ---------------------------------------------------------------------------
