@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="print a justification for a ground goal")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
     p.add_argument("-q", "--query", required=True)
-    # The prover caps its candidate model itself, so --max-atoms would be ignored.
+    # Evaluates under the default --max-atoms; takes no flag for it.
     _add_options(p, _LOAD + ("--max-iters", "--max-depth"))
 
     p = sub.add_parser("strata", help="print the stratification")
@@ -311,10 +311,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

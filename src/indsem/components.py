@@ -132,7 +132,7 @@ def compose(
             raise CompositionMismatchError(
                 f"union evaluation disagrees with chained evaluation on: {shown}"
             )
-    return engine.ModelSet(outer.atoms, inner.derivation_count + outer.derivation_count)
+    return engine.ModelSet(outer.atoms, {**inner.why, **outer.why})
 
 
 def satisfies(model, program: Program, limits: Optional[engine.Limits] = None) -> bool:

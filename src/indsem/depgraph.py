@@ -70,7 +70,8 @@ def _scc(n: int, adj: list[list[int]]) -> list[int]:
     return comp
 
 
-def stratify_templates(templates: tuple[RuleTemplate, ...]) -> Stratification:
+def _graph(templates):
+    """Per-rule dependency lists, negative edges and component ids."""
     n = len(templates)
     heads = [t.head for t in templates]
     deps: list[list[int]] = [[] for _ in range(n)]
@@ -92,8 +93,17 @@ def stratify_templates(templates: tuple[RuleTemplate, ...]) -> Stratification:
                 adj[i].append(j)
                 adj[j].append(i)
 
-    comp = _scc(n, adj)
+    return deps, negative, _scc(n, adj)
 
+
+def recursive_rules(templates) -> list[bool]:
+    """Per rule: whether its body depends on a rule of its own component."""
+    deps, _, comp = _graph(templates)
+    return [any(comp[j] == comp[i] for j in d) for i, d in enumerate(deps)]
+
+
+def stratify_templates(templates: tuple[RuleTemplate, ...]) -> Stratification:
+    deps, negative, comp = _graph(templates)
     for src, dst in negative:
         if comp[src] == comp[dst]:
             cycle = _negative_cycle(templates, deps, comp, src, dst)

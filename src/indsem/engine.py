@@ -3,14 +3,18 @@
 Templates are grounded on demand: positive body literals are matched left to
 right against the growing atom set (derived atoms plus parameters), negative
 conditions are tested against the parameter set only, and the resulting head
-must be ground.  Programs with negation are evaluated stratum by stratum,
-each stratum's output becoming the parameter set of the next.
+must be ground.  After the first round, an instance fires only if some body
+literal matches an atom that is new since the round before (semi-naive
+evaluation), and the instance that first derives an atom is kept as its
+witness.  Programs with negation are evaluated stratum by stratum, each
+stratum's output becoming the parameter set of the next.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .depgraph import stratify_templates
@@ -22,7 +26,7 @@ from .errors import (
     UncallableLiteralError,
     VariableHeadRestrictionError,
 )
-from .parser import Program, RuleTemplate
+from .parser import Program, RuleTemplate, SourceLoc
 from .terms import (
     Compound,
     Subst,
@@ -52,36 +56,40 @@ class GroundRule:
     head: Term
     body: frozenset
     negs: frozenset = frozenset()
+    loc: Optional[SourceLoc] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ModelSet:
     atoms: frozenset
-    derivation_count: int = 0
+    # Each derived atom's witness, an instance of the round that derived it.
+    why: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 class _AtomIndex:
-    """Atoms keyed by functor/arity and additionally by a ground first arg."""
+    """Atoms keyed by functor/arity and by a ground first arg, on first use."""
 
     def __init__(self, atoms):
         self.all = atoms
-        self.by_fa = defaultdict(list)
-        self.by_first = defaultdict(list)
-        for a in atoms:
-            key = (a.functor, len(a.args))
-            self.by_fa[key].append(a)
+
+    @cached_property
+    def _keys(self):
+        keys = defaultdict(list)
+        for a in self.all:
+            keys[a.functor, len(a.args)].append(a)
             if a.args:
-                self.by_first[(a.functor, len(a.args), a.args[0])].append(a)
+                keys[a.functor, len(a.args), a.args[0]].append(a)
+        return keys
 
     def candidates(self, lit: Compound):
+        key = (lit.functor, len(lit.args))
         if lit.args and is_ground(lit.args[0]):
-            return self.by_first.get((lit.functor, len(lit.args), lit.args[0]), ())
-        return self.by_fa.get((lit.functor, len(lit.args)), ())
+            key += (lit.args[0],)
+        return self._keys.get(key, ())
 
 
-def _body_substs(
-    template: RuleTemplate, index: _AtomIndex, seed: Optional[Subst] = None
-) -> Iterator[Subst]:
+def _body_substs(template: RuleTemplate, sources) -> Iterator[Subst]:
+    """Matches of the positive body, literal i against the atoms of sources[i]."""
     body = template.pos_body
 
     def go(i: int, s: Subst) -> Iterator[Subst]:
@@ -94,72 +102,94 @@ def _body_substs(
                 f"{template.loc}: body literal {body[i].name} is unbound when reached"
             )
         if is_ground(lit):
-            if lit in index.all:
+            if lit in sources[i].all:
                 yield from go(i + 1, s)
             return
-        for a in index.candidates(lit):
+        for a in sources[i].candidates(lit):
             s2 = match(lit, a, s)
             if s2 is not None:
                 yield from go(i + 1, s2)
 
-    yield from go(0, seed or {})
+    yield from go(0, {})
 
 
-def fired_instances(program: Program, params, current) -> Iterator[tuple[RuleTemplate, GroundRule]]:
-    """Ground instances firing against `current` with parameter set `params`."""
-    index = _AtomIndex(current | params)
+def fired_instances(program: Program, params, current, delta=None) -> Iterator[GroundRule]:
+    """Ground instances firing against `current` with parameter set `params`;
+    with `delta` (a subset of `current`), only those using an atom of delta."""
+    index = _AtomIndex(current if params <= current else current | params)
+    new = None if delta is None else _AtomIndex(delta)
+    keys = {(a.functor, len(a.args)) for a in delta or ()}
     for t in program.templates:
-        for s in _body_substs(t, index):
-            negs = tuple(apply_subst(n, s) for n in t.neg_body)
-            bad = [n for n in negs if not is_ground(n)]
-            if bad:
-                raise NonGroundNegationError(
-                    f"{t.loc}: negative condition {term_to_str(bad[0])} "
-                    "is not ground after matching the positive body"
-                )
-            if any(n in params for n in negs):
-                continue
-            head = apply_subst(t.head, s)
-            if not is_ground(head):
-                raise NonGroundHeadError(
-                    f"{t.loc}: head {term_to_str(head)} is not ground "
-                    "after matching the positive body"
-                )
-            body = tuple(apply_subst(b, s) for b in t.pos_body)
-            yield t, GroundRule(head, frozenset(body), frozenset(negs))
+        # With delta, one pass per body position that delta can match: that
+        # literal against delta, the others against all atoms.
+        n = len(t.pos_body)
+        passes = [(index,) * n] if new is None else [
+            (index,) * i + (new,) + (index,) * (n - i - 1)
+            for i, lit in enumerate(t.pos_body)
+            if isinstance(lit, Var) or (lit.functor, len(lit.args)) in keys
+        ]
+        for sources in passes:
+            for s in _body_substs(t, sources):
+                negs = tuple(apply_subst(n, s) for n in t.neg_body)
+                bad = [n for n in negs if not is_ground(n)]
+                if bad:
+                    raise NonGroundNegationError(
+                        f"{t.loc}: negative condition {term_to_str(bad[0])} "
+                        "is not ground after matching the positive body"
+                    )
+                if any(n in params for n in negs):
+                    continue
+                head = apply_subst(t.head, s)
+                if not is_ground(head):
+                    raise NonGroundHeadError(
+                        f"{t.loc}: head {term_to_str(head)} is not ground "
+                        "after matching the positive body"
+                    )
+                body = frozenset(apply_subst(b, s) for b in t.pos_body)
+                yield GroundRule(head, body, frozenset(negs), t.loc)
 
 
-def apply_T(program: Program, params, current) -> frozenset:
-    """One application of the consequence operator: params plus fired heads."""
+def apply_T(program: Program, params, current, delta=None, why=None) -> frozenset:
+    """One application of the consequence operator: params plus fired heads.
+    With `delta`, only instances using an atom of delta fire; `why` receives
+    the canonically least instance for each head not in `current`."""
     out = set(params)
-    for _, inst in fired_instances(program, params, current):
+    for inst in fired_instances(program, params, current, delta):
         out.add(inst.head)
+        if why is not None and inst.head not in current:
+            # Least rather than first found, so set order cannot change it.
+            first = why.setdefault(inst.head, inst)
+            if first is not inst and _canonical(inst) < _canonical(first):
+                why[inst.head] = inst
     return frozenset(out)
 
 
-def _has_bare_variable_head(program: Program) -> bool:
-    return any(isinstance(t.head, Var) for t in program.templates)
+def _canonical(r: GroundRule):
+    return sorted(map(sort_key, r.body)), sorted(map(sort_key, r.negs)), str(r.loc)
 
 
-def _iterate(program: Program, params, limits: Limits) -> ModelSet:
-    current = frozenset()
+def _iterate(program: Program, params, limits: Limits, why: dict) -> frozenset:
+    """Iteration from the parameters: the first round fires every instance,
+    each later one only those using an atom new in the round before."""
+    current, delta = params, None
     iters = 0
     while True:
-        nxt = apply_T(program, params, current)
-        if len(nxt) > limits.max_atoms:
+        # Through the module global, so a wrapped apply_T sees every round.
+        delta = apply_T(program, params, current, delta, why) - current
+        if not delta:
+            return current
+        current = current | delta
+        if len(current) > limits.max_atoms:
             raise ResourceLimitError(
                 f"derived-atom cap exceeded ({limits.max_atoms}); not converged",
-                partial=nxt,
+                partial=current,
             )
-        if nxt == current:
-            return ModelSet(current, iters)
         iters += 1
         if iters > limits.max_iters:
             raise ResourceLimitError(
                 f"iteration cap exceeded ({limits.max_iters}); not converged",
-                partial=nxt,
+                partial=current,
             )
-        current = nxt
 
 
 def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) -> ModelSet:
@@ -170,7 +200,8 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     """
     limits = limits or Limits()
     params = frozenset(params)
-    if _has_bare_variable_head(program):
+    negation = any(t.neg_body for t in program.templates)
+    if any(isinstance(t.head, Var) for t in program.templates):
         # A bare-variable head makes the head region all of the universe:
         # no nonempty parameter set is allowable and negation cannot refer
         # to anything below the (single) component.
@@ -178,22 +209,15 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
             raise VariableHeadRestrictionError(
                 "variable-head programs require an empty parameter set"
             )
-        if any(t.neg_body for t in program.templates):
+        if negation:
             raise VariableHeadRestrictionError(
                 "variable-head programs cannot use negation"
             )
-        return _iterate(program, params, limits)
-    if not any(t.neg_body for t in program.templates):
-        return _iterate(program, params, limits)
-
-    strat = stratify_templates(program.templates)
-    current = params
-    total = 0
-    for stratum in strat.strata:
-        m = _iterate(Program(stratum), current, limits)
-        current = m.atoms
-        total += m.derivation_count
-    return ModelSet(current, total)
+    strata = stratify_templates(program.templates).strata if negation else (program.templates,)
+    current, why = params, {}
+    for stratum in strata:
+        current = _iterate(Program(stratum), current, limits, why)
+    return ModelSet(current, why)
 
 
 def answers(atoms, goal: Term) -> list[Subst]:

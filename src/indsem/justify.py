@@ -1,16 +1,15 @@
-"""Top-down construction and verification of justification sequences.
+"""Construction and verification of justification sequences.
 
 A justification is a finite sequence of propositions, each witnessed either
 by parameter membership or by a fired ground rule whose body appears earlier
-in the sequence.  The prover is a tabled resolution search: every ground
-subgoal is proved at most once, a subgoal already on the call stack fails at
-that occurrence, and negative conditions are checked by failure, which under
-stratification coincides with testing the stratum's parameter set.
-
-Nonground subgoals (from variable body literals and nonground clause/2
-facts) are solved by unification against the bottom-up model when the
-program is evaluable that way; otherwise (metaprograms whose models are
-infinite) they resolve against parameter atoms and rule heads directly,
+in the sequence.  Programs with finite models (see _finite) are evaluated
+once bottom-up, and each atom is witnessed by the rule instance that first
+derived it.  The others (metaprograms) go to a tabled resolution search:
+every ground subgoal is proved at most once, a subgoal already on the call
+stack fails at that occurrence, and negative conditions are checked by
+failure, which under stratification coincides with testing the stratum's
+parameter set.  Nonground subgoals (from variable body literals and
+nonground clause/2 facts) resolve against parameter atoms and rule heads,
 with a growth check that stops a variable-head rule from rederiving a goal
 it just wrapped (the clause(clause(...)) regress).
 """
@@ -19,11 +18,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 from . import engine, errors
-from .depgraph import stratify_templates
+from .depgraph import recursive_rules, stratify_templates
 from .errors import (
     IndsemError,
     NegativeGoalError,
@@ -31,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     UncallableLiteralError,
 )
-from .parser import Program, RuleTemplate, SourceLoc
+from .parser import Program, RuleTemplate
 from .terms import (
     Compound,
     Term,
@@ -51,13 +49,7 @@ class ParamWitness:
     pass
 
 
-@dataclass(frozen=True)
-class RuleWitness:
-    head: Term
-    body: frozenset
-    negs: frozenset = frozenset()
-    loc: Optional[SourceLoc] = None
-
+RuleWitness = engine.GroundRule
 
 Witness = Union[ParamWitness, RuleWitness]
 
@@ -71,10 +63,6 @@ class Justification:
         return self.steps[-1][0]
 
 
-def _is_negation(t: Term) -> bool:
-    return isinstance(t, Compound) and t.functor == "not" and len(t.args) == 1
-
-
 def _embeds(t: Term, sub: Term) -> bool:
     """True when sub occurs in t (as t itself or any subterm)."""
     if t == sub:
@@ -84,46 +72,40 @@ def _embeds(t: Term, sub: Term) -> bool:
     return False
 
 
-# Budget for the candidate-model attempt below; programs whose models do not
-# fit (including genuinely infinite ones) fall back to direct resolution.
-CANDIDATE_ATOM_CAP = 1000
+def _deepest(terms, depth: int, out: dict) -> dict:
+    """Each variable of the terms mapped to the depth of its deepest occurrence."""
+    for t in terms:
+        if isinstance(t, Var):
+            out[t.name] = max(out.get(t.name, 0), depth)
+        else:
+            _deepest(t.args, depth + 1, out)
+    return out
 
 
-@lru_cache(maxsize=64)
-def _candidate_model(program: Program, params: frozenset, max_iters: int):
-    """Ground candidates for nonground subgoals, from the bottom-up model.
-
-    None when the program cannot be evaluated bottom-up within the budget
-    (metaprograms with unbound variable literals, infinite ','/call
-    closures); the prover then resolves against rule heads directly.
-    """
-    limits = engine.Limits(CANDIDATE_ATOM_CAP, max_iters)
-    try:
-        model = engine.least_fixpoint(program, params, limits)
-    except (
-        errors.UncallableLiteralError,
-        errors.VariableHeadRestrictionError,
-        errors.NonGroundHeadError,
-        errors.NonGroundNegationError,
-        errors.ResourceLimitError,
-    ):
-        return None
-    return tuple(sorted(model.atoms, key=sort_key))
+def _finite(program: Program) -> bool:
+    """True when, in every recursive rule, each head variable occurs in some
+    positive body literal at least as deep as in the head, or in none (such a
+    rule stops evaluation on its nonground head if it fires).  Derived atoms
+    then stay within a depth set by the parameters and the rules (a rule
+    outside every cycle adds its depth once), so the least model is finite."""
+    deeper = []
+    for t in program.templates:
+        body = _deepest(t.pos_body, 0, {})
+        deeper.append(any(body.get(v, d) < d for v, d in _deepest((t.head,), 0, {}).items()))
+    if not any(deeper):
+        return True  # the common case skips the dependency graph
+    return not any(d and r for d, r in zip(deeper, recursive_rules(program.templates)))
 
 
 class _Prover:
     def __init__(self, program: Program, params, limits: engine.Limits):
-        self.program = program
         self.templates = program.templates
         self.params = frozenset(params)
         self.params_sorted = sorted(self.params, key=sort_key)
         self.limits = limits
-        # ground atom -> ("param",) | ("rule", loc, body_instances, neg_instances)
+        # ground atom -> its RuleWitness, or None for a parameter
         self.table: dict = {}
         self.stack: set = set()
-
-    def _candidate_atoms(self):
-        return _candidate_model(self.program, self.params, self.limits.max_iters)
 
     def _rename(self, t: RuleTemplate):
         m: dict = {}
@@ -162,7 +144,7 @@ class _Prover:
         if goal in self.table:
             return True
         if goal in self.params:
-            self.table[goal] = ("param",)
+            self.table[goal] = None
             return True
         if goal in self.stack:
             return False
@@ -182,14 +164,8 @@ class _Prover:
                 if s is None:
                     continue
                 for s2 in self._solve_seq(pos, s, depth + 1, ()):
-                    if self._negs_fail(negs, s2, loc, depth):
-                        continue
-                    body_inst = tuple(resolve(b, s2) for b in pos)
-                    neg_inst = tuple(resolve(n, s2) for n in negs)
-                    if not all(is_ground(b) for b in body_inst):
-                        continue
-                    self.table[goal] = ("rule", loc, body_inst, neg_inst)
-                    return True
+                    if not self._negs_fail(negs, s2, loc, depth) and self._table(goal, pos, negs, loc, s2):
+                        return True
             return False
         finally:
             self.stack.discard(goal)
@@ -205,22 +181,10 @@ class _Prover:
                 f"cannot call the unbound variable {term_to_str(g)}"
             )
         self._check_depth(depth)
-        candidates = self._candidate_atoms()
-        if candidates is not None:
-            # The model is computable bottom-up: enumerate its atoms rather
-            # than resolving against rule heads, which terminates regardless
-            # of literal order.  Witnesses are rebuilt by reconstruct().
-            for a in candidates:
-                s2 = unify(g, a, subst)
-                if s2 is not None:
-                    if a in self.params:
-                        self.table.setdefault(a, ("param",))
-                    yield s2
-            return
         for a in self.params_sorted:
             s2 = unify(g, a, subst)
             if s2 is not None:
-                self.table.setdefault(a, ("param",))
+                self.table.setdefault(a, None)
                 yield s2
         grew = any(_embeds(g, a) for a in chain)
         chain = chain + (g,)
@@ -239,14 +203,18 @@ class _Prover:
                     continue
                 # The answer may leave goal variables free for a later
                 # literal to bind; table the instance only when it is
-                # already ground, reconstruct() reproves the rest.
+                # already ground, witness() reproves the rest.
                 h = resolve(head, s3)
                 if is_ground(h) and h not in self.table:
-                    body_inst = tuple(resolve(b, s3) for b in pos)
-                    if all(is_ground(b) for b in body_inst):
-                        neg_inst = tuple(resolve(n, s3) for n in negs)
-                        self.table[h] = ("rule", loc, body_inst, neg_inst)
+                    self._table(h, pos, negs, loc, s3)
                 yield s3
+
+    def _table(self, h: Term, pos, negs, loc, subst: dict) -> bool:
+        """Tables the instance of a rule for ground h when its body is ground."""
+        body = frozenset(resolve(b, subst) for b in pos)
+        if all(is_ground(b) for b in body):
+            self.table[h] = RuleWitness(h, body, frozenset(resolve(n, subst) for n in negs), loc)
+        return h in self.table
 
     def _solve_seq(self, literals, subst: dict, depth: int, chain: tuple):
         if not literals:
@@ -255,55 +223,71 @@ class _Prover:
         for s2 in self._solve(literals[0], subst, depth, chain):
             yield from self._solve_seq(literals[1:], s2, depth, chain)
 
-    def reconstruct(self, goal: Term) -> Justification:
-        steps: list[tuple[Term, Witness]] = []
-        emitted: set = set()
+    def witness(self, a: Term) -> Optional[RuleWitness]:
+        if a not in self.table and not self.prove_ground(a, 0):
+            # Atom solved nonground during the search; reproving its ground
+            # instance should have tabled it.
+            raise IndsemError(f"internal: no witness for {term_to_str(a)}")
+        return self.table[a]
 
-        def emit(a: Term):
-            if a in emitted:
-                return
-            emitted.add(a)
-            if a not in self.table:
-                # Atom solved nonground during the search; reprove the
-                # ground instance to obtain its witness.
-                if not self.prove_ground(a, 0):
-                    raise IndsemError(
-                        f"internal: no witness for {term_to_str(a)}"
-                    )
-            entry = self.table[a]
-            if entry[0] == "param":
-                steps.append((a, ParamWitness()))
-                return
-            _, loc, body_inst, neg_inst = entry
-            for b in body_inst:
-                emit(b)
-            steps.append(
-                (a, RuleWitness(a, frozenset(body_inst), frozenset(neg_inst), loc))
-            )
 
-        emit(goal)
-        return Justification(tuple(steps))
+def _sequence(goal: Term, witness, max_depth: int) -> Justification:
+    """Steps for goal: each atom after the body atoms (in canonical order) of
+    witness(atom), None for a parameter; at most max_depth high.  Recursion
+    stays out of C functions such as max(), so deep DAGs spare the C stack."""
+    steps: list[tuple[Term, Witness]] = []
+    height: dict = {}
+    too_deep = ResourceLimitError(f"proof depth cap exceeded ({max_depth})")
+
+    def emit(a: Term, depth: int) -> int:
+        if depth > max_depth:
+            raise too_deep
+        if a not in height:
+            height[a] = 1  # set first, so a cyclic table ends the recursion
+            w = witness(a)
+            for b in sorted(w.body, key=sort_key) if w is not None else ():
+                height[a] = max(height[a], 1 + emit(b, depth + 1))
+            steps.append((a, ParamWitness() if w is None else w))
+        return height[a]
+
+    if emit(goal, 1) > max_depth:
+        raise too_deep
+    return Justification(tuple(steps))
 
 
 def prove(
     program: Program, params, goal: Term, limits: Optional[engine.Limits] = None
 ) -> Optional[Justification]:
     """A justification ending in the goal, or None when the goal is not in
-    the defined set (complete at desk scale for stratified programs)."""
-    if _is_negation(goal):
+    the defined set (the top-down search is complete at desk scale for
+    stratified programs)."""
+    if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeGoalError(f"cannot prove a negation: {term_to_str(goal)}")
     if not is_ground(goal):
         raise IndsemError(f"prove requires a ground goal, got {term_to_str(goal)}")
-    if any(t.neg_body for t in program.templates):
-        stratify_templates(program.templates)  # reject unstratifiable programs
     limits = limits or engine.Limits()
+    params = frozenset(params)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 20 * limits.max_depth + 10_000))
     try:
+        if _finite(program):
+            try:
+                model = engine.least_fixpoint(program, params, limits)
+            except (
+                errors.UncallableLiteralError,
+                errors.VariableHeadRestrictionError,
+                errors.NonGroundHeadError,
+                errors.NonGroundNegationError,
+            ):
+                pass  # not evaluable bottom-up after all
+            else:
+                found = goal in model.atoms
+                return _sequence(goal, model.why.get, limits.max_depth) if found else None
+        if any(t.neg_body for t in program.templates):
+            stratify_templates(program.templates)  # reject unstratifiable programs
         prover = _Prover(program, params, limits)
-        if prover.prove_ground(goal, 0):
-            return prover.reconstruct(goal)
-        return None
+        found = prover.prove_ground(goal, 0)
+        return _sequence(goal, prover.witness, limits.max_depth) if found else None
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -367,11 +351,7 @@ def verify_report(program: Program, params, j: Justification) -> list[str]:
                 )
             if witness.negs:
                 if effective is None:
-                    if has_negation:
-                        model = engine.least_fixpoint(program, params)
-                        effective = model.atoms
-                    else:
-                        effective = params
+                    effective = engine.least_fixpoint(program, params).atoms if has_negation else params
                 blocked = sorted(witness.negs & effective, key=sort_key)
                 if blocked:
                     problems.append(

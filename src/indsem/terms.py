@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 
@@ -46,7 +45,6 @@ def mk(functor: str, *args: Term) -> Compound:
     return Compound(functor, tuple(args))
 
 
-@lru_cache(maxsize=None)
 def is_ground(t: Term) -> bool:
     if isinstance(t, Var):
         return False

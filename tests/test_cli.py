@@ -1,10 +1,15 @@
 """End-to-end CLI behavior, including exit codes and output formats."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, META, PAIRS
+import indsem
 from indsem import engine
 from indsem.cli import main
 
@@ -118,6 +123,46 @@ def test_explain_meta_program(capsys):
                        "-q", "tc(1,3)")
     assert code == 0
     assert "tc(1,3)" in out
+
+
+LEFT_TC = "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- tc(X,Z), edge(Z,Y).\n"
+
+
+def _chain_files(tmp_path, n):
+    prog, facts = tmp_path / "left.ind", tmp_path / "chain.facts"
+    prog.write_text(LEFT_TC)
+    facts.write_text("".join(f"edge({i},{i + 1}).\n" for i in range(n)))
+    return str(prog), str(facts)
+
+
+def test_explain_wrapped_left_recursion_bottom_up(capsys, tmp_path):
+    prog, facts = _chain_files(tmp_path, 8)
+    code, out, err = run(capsys, "explain", prog, "--facts", facts,
+                         "--wrap", "holds", "-q", "holds(tc(5,0))")
+    assert (code, out, err) == (1, "", "no justification for holds(tc(5,0))\n")
+    code, out, _ = run(capsys, "explain", prog, "--facts", facts,
+                       "--wrap", "holds", "-q", "holds(tc(0,8))")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("16. holds(tc(0,8))  :- holds(edge(7,8)), holds(tc(0,7))")
+
+
+def test_explain_output_independent_of_fact_order(tmp_path):
+    # Two paths of one length reach d; which one is printed must not
+    # depend on the order of the facts or on string hashing.
+    edges = ["edge(a,b).", "edge(a,c).", "edge(b,d).", "edge(c,d).", "edge(d,e)."]
+    src = str(Path(indsem.__file__).parent.parent)
+    outputs = set()
+    for k, seed in enumerate(["1", "2", "3", "4"]):
+        facts = tmp_path / f"edges{k}.facts"
+        facts.write_text("\n".join(edges[k:] + edges[:k][::-1]) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "indsem.cli", "explain", _p("tc_small.ind"),
+             "--facts", str(facts), "-q", "tc(a,e)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 # ---------------------------------------------------------------------------

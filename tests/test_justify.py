@@ -1,10 +1,13 @@
 """Justification sequences: the prover, the checker, and their formatting."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from indsem import engine
+from indsem import engine, justify
 from indsem.errors import (
     IndsemError,
     NegativeGoalError,
@@ -138,6 +141,96 @@ def test_agreement_with_model_membership():
         for a in model:
             j = prove(prog, params, a)
             assert j is not None and verify(prog, params, j)
+
+
+LEFT_TC = parse_program("tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- tc(X,Z), edge(Z,Y).\n")
+
+
+@pytest.mark.parametrize("n", [43, 44])
+def test_left_recursive_underivable_goal_needs_no_budget(n):
+    # Models of 989 and 1,034 atoms: the answer must not depend on the
+    # size of the model.
+    params = parse_paramset("".join(f"edge({i},{i + 1}).\n" for i in range(n)))
+    goal = parse_term(f"tc({n},0)")
+    assert prove(LEFT_TC, params, goal, engine.Limits(max_depth=2000)) is None
+
+
+@pytest.mark.parametrize("text, finite", [
+    ("f(s(X)) :- f(X).\n", False),
+    ("interp((A,B)) :- interp(A), interp(B).\n", False),
+    ("call(X) :- X.\n", False),
+    ("holds(tc(X,Y)) :- holds(tc(X,Z)), holds(edge(Z,Y)).\n", True),
+    ("truly_believes(X,P) :- believes(X,P), P.\n", True),
+    # X occurs in no body literal: if the rule fires, evaluation stops on
+    # its nonground head.
+    ("q(X) :- q(Y), not(s).\n", True),
+    # A rule outside every cycle may build deeper terms; one inside may not.
+    ("tc(X,Y) :- tc(X,Z), edge(Z,Y).\npath(p(X,Y)) :- tc(X,Y).\n", True),
+    ("f(s(X)) :- g(X).\ng(X) :- f(X).\n", False),
+])
+def test_finiteness_condition(text, finite):
+    assert justify._finite(parse_program(text)) is finite
+
+
+def test_nonrecursive_term_building_rule_keeps_the_bottom_up_path():
+    prog = LEFT_TC + parse_program("path(p(X,Y)) :- tc(X,Y).\n")
+    params = parse_paramset("".join(f"edge({i},{i + 1}).\n" for i in range(8)))
+    assert prove(prog, params, parse_term("tc(5,0)")) is None
+    j = prove(prog, params, parse_term("tc(0,8)"))
+    assert j is not None and verify(prog, params, j)
+
+
+def test_finite_program_is_proved_from_one_bottom_up_run(monkeypatch):
+    calls = []
+    fixpoint = engine.least_fixpoint
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fixpoint(*args, **kwargs)
+
+    def no_prover(*args, **kwargs):
+        raise AssertionError("the top-down prover was constructed")
+
+    monkeypatch.setattr(engine, "least_fixpoint", counted)
+    monkeypatch.setattr(justify, "_Prover", no_prover)
+    j = prove(LEFT_TC, EDGES, parse_term("tc(1,3)"))
+    assert j is not None and len(calls) == 1
+    assert prove(LEFT_TC, EDGES, parse_term("tc(3,1)")) is None and len(calls) == 2
+
+
+def test_rule_witness_is_the_engine_ground_rule():
+    assert RuleWitness is engine.GroundRule
+    j = prove(TC, EDGES, parse_term("tc(1,3)"))
+    assert all(w.loc is not None for _, w in j.steps if isinstance(w, RuleWitness))
+
+
+def test_justification_height_is_minimal():
+    # tc(1,4) by the edge 1 -> 4 directly, not along the longer path that a
+    # search trying the recursive rule first would find.
+    prog = parse_program("tc(X,Y) :- edge(X,Z), tc(Z,Y).\ntc(X,Y) :- edge(X,Y).\n")
+    params = parse_paramset("edge(1,2).\nedge(2,3).\nedge(3,4).\nedge(1,4).\n")
+    j = prove(prog, params, parse_term("tc(1,4)"))
+    assert [p for p, _ in j.steps] == [parse_term("edge(1,4)"), parse_term("tc(1,4)")]
+
+
+def test_deep_justification_does_not_exhaust_the_c_stack():
+    # 30,000 steps, within a raised --max-depth; run apart, since a C stack
+    # overflow kills the process.
+    code = """if True:
+        import sys
+        from indsem import engine, justify
+        from indsem.terms import Compound
+        n = 30_000
+        atoms = [Compound(f"p{i}") for i in range(n)]
+        why = {atoms[i]: engine.GroundRule(atoms[i], frozenset([atoms[i - 1]]))
+               for i in range(1, n)}
+        sys.setrecursionlimit(20 * n + 10_000)
+        assert len(justify._sequence(atoms[-1], why.get, n).steps) == n
+    """
+    src = str(Path(justify.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,81 @@
+"""Delta-driven evaluation and bottom-up justifications on random programs.
+
+The fixpoint is compared with naive iteration of the one-step operator and
+with the brute-force oracle; every derived atom must have a justification
+that verify() accepts, and every other atom none.
+"""
+
+from hypothesis import given, strategies as st
+
+from conftest import oracle_model
+from test_components import _literals, _rules
+from indsem import engine, justify
+from indsem.depgraph import stratify_templates
+from indsem.errors import IndsemError
+from indsem.parser import Program, parse_program, parse_term
+from indsem.terms import is_ground, unifiable
+
+# Negation-free rules with longer bodies, so that one stratum takes many
+# rounds and atoms join with others new in different rounds.
+_positive_rules = st.builds(
+    lambda head, body: f"{head} :- {', '.join(body)}.\n",
+    _literals,
+    st.lists(_literals, min_size=1, max_size=3),
+)
+_programs = st.builds(
+    lambda rules, positive: rules + positive,
+    st.lists(_rules, max_size=4),
+    st.lists(_positive_rules, max_size=6),
+).filter(bool)
+_facts = st.lists(_literals, max_size=4)
+
+
+def _case(rules, facts):
+    """The program, an allowable parameter set and the model, or None when
+    the engine rejects the program (unstratifiable, nonground heads or
+    negative conditions)."""
+    program = parse_program("".join(rules))
+    params = frozenset(
+        a for a in map(parse_term, facts)
+        if is_ground(a) and not any(unifiable(a, t.head) for t in program.templates)
+    )
+    try:
+        return program, params, engine.least_fixpoint(program, params).atoms
+    except IndsemError:
+        return None
+
+
+def _naive(program, params):
+    """Stratum by stratum, apply_T iterated from the empty set."""
+    for stratum in stratify_templates(program.templates).strata:
+        current = frozenset()
+        while (nxt := engine.apply_T(Program(stratum), params, current)) != current:
+            current = nxt
+        params = current
+    return params
+
+
+@given(_programs, _facts)
+def test_fixpoint_equals_naive_iteration_and_oracle(rules, facts):
+    case = _case(rules, facts)
+    if case is None:
+        return
+    program, params, model = case
+    assert model == _naive(program, params)
+    assert model == oracle_model(program, params, model)
+
+
+@given(_programs, _facts)
+def test_every_derived_atom_and_no_other_is_justified(rules, facts):
+    case = _case(rules, facts)
+    if case is None:
+        return
+    program, params, model = case
+    universe = {parse_term(f"{p}{arg}") for p in "pqrs" for arg in ("", "(a)", "(b)")}
+    for a in sorted(universe | model, key=str):
+        j = justify.prove(program, params, a)
+        if a in model:
+            assert j is not None and j.final == a
+            assert justify.verify(program, params, j), justify.verify_report(program, params, j)
+        else:
+            assert j is None
