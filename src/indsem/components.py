@@ -14,7 +14,7 @@ from .errors import (
     CompositionPreconditionError,
 )
 from .parser import Program
-from .terms import Term, term_to_str, unifiable
+from .terms import Term, functor_index, term_to_str, unifiable
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,13 @@ def signature(program: Program) -> ComponentSignature:
 
 def ground_projection(sig: ComponentSignature, universe) -> tuple[set, set, set]:
     """Slice of the (infinite) template sets visible in a finite atom universe."""
-    heads = {a for a in universe if any(unifiable(a, h) for h in sig.head_templates)}
-    bodies = {a for a in universe if any(unifiable(a, b) for b in sig.body_templates)}
-    negs = {a for a in universe if any(unifiable(a, n) for n in sig.neg_templates)}
-    return heads, bodies, negs
+
+    def visible(templates):
+        templates = list(templates)
+        candidates = functor_index(templates)
+        return {a for a in universe if any(unifiable(a, templates[j]) for j in candidates(a))}
+
+    return visible(sig.head_templates), visible(sig.body_templates), visible(sig.neg_templates)
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,11 @@ class AllowabilityReport:
 
 def check_allowable(program: Program, params) -> AllowabilityReport:
     """A parameter set is allowable when no atom unifies with any head template."""
+    templates = program.templates
+    candidates = functor_index([t.head for t in templates])
     violations = []
     for a in sorted(params, key=lambda t: term_to_str(t)):
-        for t in program.templates:
+        for t in (templates[j] for j in candidates(a)):
             if unifiable(a, t.head):
                 violations.append(AllowabilityViolation(a, t.head, str(t.loc)))
     return AllowabilityReport(tuple(violations))
@@ -91,10 +96,11 @@ def composition_conflicts(upper: Program, lower: Program) -> list[tuple[str, str
     lower_terms += [
         (b, f"body at {t.loc}") for t in lower.templates for b in t.pos_body
     ]
+    candidates = functor_index([term for term, _ in lower_terms])
     return [
         (term_to_str(t.head), term_to_str(term), where)
         for t in upper.templates
-        for term, where in lower_terms
+        for term, where in (lower_terms[j] for j in candidates(t.head))
         if unifiable(t.head, term)
     ]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import UnstratifiableError
 from .parser import RuleTemplate, template_to_str
-from .terms import unifiable
+from .terms import functor_index, unifiable
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,14 @@ def _graph(templates):
     """Per-rule dependency lists, negative edges and component ids."""
     n = len(templates)
     heads = [t.head for t in templates]
+    candidates = functor_index(heads)
     deps: list[list[int]] = [[] for _ in range(n)]
     negative: list[tuple[int, int]] = []
 
     for i, t in enumerate(templates):
         for k, lit in enumerate(t.pos_body + t.neg_body):
-            for j, h in enumerate(heads):
-                if unifiable(lit, h):
+            for j in candidates(lit):
+                if unifiable(lit, heads[j]):
                     deps[i].append(j)
                     if k >= len(t.pos_body):
                         negative.append((i, j))
@@ -88,8 +89,8 @@ def _graph(templates):
     # Rules with unifiable heads must share a component.
     adj = [list(d) for d in deps]
     for i in range(n):
-        for j in range(i + 1, n):
-            if unifiable(heads[i], heads[j]):
+        for j in candidates(heads[i]):
+            if j > i and unifiable(heads[i], heads[j]):
                 adj[i].append(j)
                 adj[j].append(i)
 

@@ -34,6 +34,7 @@ from .terms import (
     Compound,
     Term,
     Var,
+    functor_index,
     is_ground,
     match,
     rename_term,
@@ -100,12 +101,17 @@ def _finite(program: Program) -> bool:
 class _Prover:
     def __init__(self, program: Program, params, limits: engine.Limits):
         self.templates = program.templates
+        self.candidates = functor_index([t.head for t in self.templates])
         self.params = frozenset(params)
         self.params_sorted = sorted(self.params, key=sort_key)
         self.limits = limits
         # ground atom -> its RuleWitness, or None for a parameter
         self.table: dict = {}
         self.stack: set = set()
+
+    def _templates_for(self, goal: Term):
+        """The templates whose head may unify with goal, in program order."""
+        return (self.templates[j] for j in self.candidates(goal))
 
     def _rename(self, t: RuleTemplate):
         m: dict = {}
@@ -151,7 +157,7 @@ class _Prover:
         self._check_depth(depth)
         self.stack.add(goal)
         try:
-            for t in self.templates:
+            for t in self._templates_for(goal):
                 # Same growth check as _solve: a variable-head rule applied
                 # to a goal that wraps an ancestor (clause(clause(...),true)
                 # and the like) would regress through ever-larger goals.
@@ -188,7 +194,7 @@ class _Prover:
                 yield s2
         grew = any(_embeds(g, a) for a in chain)
         chain = chain + (g,)
-        for t in self.templates:
+        for t in self._templates_for(g):
             # A variable-head rule resolves with any goal at all, so applying
             # it to a goal that grew around an earlier nonground goal on this
             # chain (clause(clause(...)) and the like) would regress forever.

@@ -199,6 +199,19 @@ def unifiable(a: Term, b: Term) -> bool:
     return unify(ra, rb) is not None
 
 
+def functor_index(terms):
+    """Lookup from a query term to the ascending indices of the terms that
+    may unify with it: those sharing its functor/arity, and bare variables.
+    A bare-variable query gets every index."""
+    buckets: dict = {}
+    for i, t in enumerate(terms):
+        buckets.setdefault(None if isinstance(t, Var) else (t.functor, len(t.args)), []).append(i)
+    loose = buckets.pop(None, [])
+    buckets = {k: sorted(v + loose) for k, v in buckets.items()}
+    every = range(len(terms))
+    return lambda q: every if isinstance(q, Var) else buckets.get((q.functor, len(q.args)), loose)
+
+
 # ---------------------------------------------------------------------------
 # Canonical total order on ground terms.
 # ---------------------------------------------------------------------------

@@ -331,6 +331,28 @@ def test_exclude_wrap_needs_name_and_arity(capsys):
     assert "NAME/ARITY" in capsys.readouterr().err
 
 
+def test_check_long_negation_chain(capsys, tmp_path):
+    prog = tmp_path / "neg.ind"
+    prog.write_text(
+        "p0.\n" + "".join(f"p{k} :- p{k - 1}, not(q{k}).\n" for k in range(1, 2000))
+    )
+    code, out, _ = run(capsys, "check", str(prog))
+    assert code == 0
+    assert "stratification: ok (2000 strata)" in out.splitlines()
+
+
+def test_explain_long_chain_top_down(capsys, tmp_path):
+    # The term-building rule sends the program to the top-down prover.
+    prog = tmp_path / "mixed.ind"
+    prog.write_text(
+        "p0.\n" + "".join(f"p{k} :- p{k - 1}.\n" for k in range(1, 2000))
+        + "f(0).\nf(s(X)) :- f(X).\n"
+    )
+    code, out, _ = run(capsys, "explain", str(prog), "-q", "p1999")
+    assert code == 0
+    assert len(out.splitlines()) == 2000
+
+
 def test_check_and_model_agree_on_wrapped_allowability(capsys, tmp_path):
     facts = tmp_path / "bad.facts"
     facts.write_text("tc(a,b).\n")

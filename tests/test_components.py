@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import load_pair, pair_names
-from indsem import components, engine
+from indsem import components, depgraph, engine
 from indsem.components import (
+    AllowabilityViolation,
     check_allowable,
     compose,
+    composition_conflicts,
     ground_projection,
     nested_negation_warnings,
     satisfies,
@@ -21,8 +23,8 @@ from indsem.errors import (
     CompositionPreconditionError,
     UnstratifiableError,
 )
-from indsem.parser import parse_paramset, parse_program, parse_term
-from indsem.terms import unifiable
+from indsem.parser import Program, parse_paramset, parse_program, parse_term
+from indsem.terms import term_to_str, unifiable
 
 
 def _atoms(text):
@@ -129,6 +131,133 @@ def test_strata_are_bottom_up(rules):
                 assert level[id(u)] <= level[id(t)]
             if any(unifiable(n, u.head) for n in t.neg_body):
                 assert level[id(u)] < level[id(t)]
+
+
+# Wider templates for the functor-indexed analyses: arities 0-2 under one
+# name, nested and clause/2-style compounds, bare-variable heads and body
+# literals.  (_literals and _rules stay as they are: tests/test_seminaive.py
+# evaluates them bottom-up.)
+def _atoms_over(args):
+    return st.builds(
+        lambda name, xs: name + (f"({','.join(xs)})" if xs else ""),
+        st.sampled_from("pq"),
+        st.lists(st.sampled_from(args), max_size=2),
+    )
+
+
+_ground_atoms = _atoms_over(["a", "b", "s(a)"]) | st.builds(
+    "clause({},true)".format, _atoms_over(["a", "b"])
+)
+_open_atoms = _atoms_over(["a", "b", "X", "Y", "s(X)"])
+_wide_literals = (
+    _open_atoms
+    | st.sampled_from(["H", "Body"])
+    | st.builds(
+        "clause({},{})".format,
+        _open_atoms | st.just("H"),
+        _open_atoms | st.sampled_from(["true", "Body"]),
+    )
+)
+_wide_rules = st.builds(
+    lambda head, body: head + "".join(
+        (" :- " if k == 0 else ", ") + (f"not({lit})" if neg else lit)
+        for k, (lit, neg) in enumerate(body)
+    ) + ".\n",
+    _wide_literals,
+    st.lists(st.tuples(_wide_literals, st.booleans()), max_size=3),
+)
+
+
+def _all_pairs_graph(templates):
+    """depgraph._graph by its definition: every literal against every head."""
+    heads = [t.head for t in templates]
+    deps = [
+        [j for lit in t.pos_body + t.neg_body for j, h in enumerate(heads) if unifiable(lit, h)]
+        for t in templates
+    ]
+    negative = [
+        (i, j) for i, t in enumerate(templates)
+        for lit in t.neg_body for j, h in enumerate(heads) if unifiable(lit, h)
+    ]
+    adj = [
+        d + [j for j, h in enumerate(heads) if j != i and unifiable(heads[i], h)]
+        for i, d in enumerate(deps)
+    ]
+    return deps, negative, depgraph._scc(len(templates), adj)
+
+
+@given(
+    st.lists(_wide_rules, min_size=1, max_size=8),
+    st.integers(0, 8),
+    st.lists(_ground_atoms, max_size=6),
+)
+def test_indexed_analyses_equal_all_pairs_definitions(rules, cut, facts):
+    program = parse_program("".join(rules))
+    templates = program.templates
+    assert depgraph._graph(templates) == _all_pairs_graph(templates)
+
+    params = frozenset(map(parse_term, facts))
+    assert check_allowable(program, params).violations == tuple(
+        AllowabilityViolation(a, t.head, str(t.loc))
+        for a in sorted(params, key=term_to_str)
+        for t in templates if unifiable(a, t.head)
+    )
+
+    upper, lower = Program(templates[:cut]), Program(templates[cut:])
+    lower_terms = [(t.head, f"head at {t.loc}") for t in lower.templates]
+    lower_terms += [(b, f"body at {t.loc}") for t in lower.templates for b in t.pos_body]
+    assert composition_conflicts(upper, lower) == [
+        (term_to_str(t.head), term_to_str(term), where)
+        for t in upper.templates for term, where in lower_terms if unifiable(t.head, term)
+    ]
+
+    sig = signature(program)
+    assert ground_projection(sig, params) == tuple(
+        {a for a in params if any(unifiable(a, x) for x in side)}
+        for side in (sig.head_templates, sig.body_templates, sig.neg_templates)
+    )
+
+
+def _layered(n_layers, width=4):
+    """Layered negation, two templates per predicate: l<k>_<i> holds when
+    layer k-1 has l<k-1>_<i> and lacks l<k-1>_<i+1>, or has l<k-1>_<i+1>."""
+    rules = [f"l0_{i}.\nl0_{i} :- b{i}.\n" for i in range(width)]
+    for k in range(1, n_layers):
+        for i in range(width):
+            a, b = f"l{k-1}_{i}", f"l{k-1}_{(i + 1) % width}"
+            rules.append(f"l{k}_{i} :- {a}, not({b}).\nl{k}_{i} :- {b}.\n")
+    return parse_program("".join(rules))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Counts the calls of module.<name> as that module looks it up."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_template_analyses_unify_linearly_often(monkeypatch):
+    program = _layered(50)
+    templates = program.templates
+    assert len(templates) == 400
+    bound = 4 * len(templates) * (max(len(t.pos_body + t.neg_body) for t in templates) + 1)
+
+    calls = _count_calls(monkeypatch, depgraph, "unifiable")
+    strata = stratify_templates(templates).strata
+    assert len(strata) == 200
+    assert calls[0] <= bound
+
+    # Half the parameters unify with two heads each, half with none.
+    params = frozenset(parse_term(f"{p}{k}_{i}") for p in ("l", "m") for k in range(50) for i in range(2))
+    calls = _count_calls(monkeypatch, components, "unifiable")
+    assert len(check_allowable(program, params).violations) == 200
+    assert calls[0] <= bound
 
 
 # ---------------------------------------------------------------------------

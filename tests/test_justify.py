@@ -198,6 +198,26 @@ def test_finite_program_is_proved_from_one_bottom_up_run(monkeypatch):
     assert prove(LEFT_TC, EDGES, parse_term("tc(3,1)")) is None and len(calls) == 2
 
 
+def test_prover_renames_only_templates_sharing_the_goal_functor(monkeypatch):
+    # f(s(X)) :- f(X) fails the finiteness test, so p1999 is proved top-down.
+    prog = parse_program(
+        "p0.\n" + "".join(f"p{k} :- p{k - 1}.\n" for k in range(1, 2000))
+        + "f(0).\nf(s(X)) :- f(X).\n"
+    )
+    assert not justify._finite(prog)
+    calls = []
+    rename = justify._Prover._rename
+
+    def counted(self, t):
+        calls.append(t)
+        return rename(self, t)
+
+    monkeypatch.setattr(justify._Prover, "_rename", counted)
+    j = prove(prog, frozenset(), parse_term("p1999"))
+    assert j is not None and len(j.steps) == 2000
+    assert len(calls) <= 4 * len(prog.templates) * 2
+
+
 def test_rule_witness_is_the_engine_ground_rule():
     assert RuleWitness is engine.GroundRule
     j = prove(TC, EDGES, parse_term("tc(1,3)"))

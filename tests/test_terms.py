@@ -20,6 +20,7 @@ from indsem.terms import (
     resolve,
     sort_key,
     term_to_str,
+    functor_index,
     unifiable,
     unify,
     variables_of,
@@ -147,6 +148,16 @@ def test_unifiable_standardizes_apart():
     # Same variable name on both sides must not be read as the same variable.
     assert unifiable(parse_term("f(X,a)"), parse_term("f(b,X)"))
     assert not unifiable(parse_term("f(a)"), parse_term("g(a)"))
+
+
+def test_functor_index_candidates():
+    terms = [parse_term(t) for t in ["p(X)", "H", "q", "p(a)", "p(a,b)"]]
+    candidates = functor_index(terms)
+    assert list(candidates(parse_term("p(b)"))) == [0, 1, 3]
+    assert list(candidates(parse_term("p(a,Y)"))) == [1, 4]
+    assert list(candidates(parse_term("r"))) == [1]
+    assert list(candidates(parse_term("Body"))) == [0, 1, 2, 3, 4]
+    assert list(functor_index(terms[2:])(parse_term("r"))) == []
 
 
 def test_rename_term_is_fresh_and_consistent():
