@@ -1,20 +1,21 @@
 """Bottom-up evaluation: the one-step consequence operator and its fixpoint.
 
-Templates are grounded on demand: positive body literals are matched left to
-right against the growing atom set (derived atoms plus parameters), negative
-conditions are tested against the parameter set only, and the resulting head
-must be ground.  After the first round, an instance fires only if some body
-literal matches an atom that is new since the round before (semi-naive
-evaluation), and the instance that first derives an atom is kept as its
-witness.  Programs with negation are evaluated stratum by stratum, each
-stratum's output becoming the parameter set of the next.
+Templates are grounded on demand by join plans compiled once per stratum:
+positive body literals are looked up left to right in one index of the
+growing atom set (derived atoms plus parameters), keyed on the subterms the
+literals before them bind; negative conditions are tested against the
+parameter set only, and the head must be ground.  After the first round, an
+instance fires only if some body literal matches an atom new since the round
+before (semi-naive evaluation); the instance that first derives an atom is its
+witness.  Strata are evaluated bottom-up, each one's output the next one's
+parameter set.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import reduce
+from itertools import count, takewhile
 from typing import Iterator, Optional
 
 from .depgraph import stratify_templates
@@ -26,17 +27,19 @@ from .errors import (
     UncallableLiteralError,
     VariableHeadRestrictionError,
 )
-from .parser import Program, RuleTemplate, SourceLoc
+from .parser import Program, SourceLoc
 from .terms import (
     Compound,
     Subst,
     Term,
     Var,
     apply_subst,
+    functor_index,
     is_ground,
     match,
     sort_key,
     term_to_str,
+    variables_of,
 )
 
 DEFAULT_MAX_ATOMS = 1_000_000
@@ -66,95 +69,142 @@ class ModelSet:
     why: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-class _AtomIndex:
-    """Atoms keyed by functor/arity and by a ground first arg, on first use."""
+class _Index:
+    """The one mutable atom set of a call, with tables built on first use: a
+    table maps the subterms at some argument paths of the atoms of one
+    functor/arity to those atoms, so each bucket ends with the latest `add`."""
 
-    def __init__(self, atoms):
-        self.all = atoms
+    def __init__(self, atoms=()):
+        self.atoms, self.tables = set(), {}  # (functor, arity) -> {paths: {key: [atom]}}
+        self.add(atoms)
 
-    @cached_property
-    def _keys(self):
-        keys = defaultdict(list)
-        for a in self.all:
-            keys[a.functor, len(a.args)].append(a)
-            if a.args:
-                keys[a.functor, len(a.args), a.args[0]].append(a)
-        return keys
+    def add(self, atoms):
+        new = {}
+        for a in atoms:
+            if a not in self.atoms:
+                self.atoms.add(a)
+                new.setdefault((a.functor, len(a.args)), []).append(a)
+        for sig, group in new.items():
+            for paths, table in self.tables.setdefault(sig, {(): {}}).items():
+                self._insert(table, paths, group)
 
-    def candidates(self, lit: Compound):
-        key = (lit.functor, len(lit.args))
-        if lit.args and is_ground(lit.args[0]):
-            key += (lit.args[0],)
-        return self._keys.get(key, ())
+    def lookup(self, sig, paths, key):
+        tables = self.tables.setdefault(sig, {(): {}})
+        if paths not in tables:
+            tables[paths] = {}
+            self._insert(tables[paths], paths, tables[()].get((), ()))
+        return tables[paths].get(key, ())
 
-
-def _body_substs(template: RuleTemplate, sources) -> Iterator[Subst]:
-    """Matches of the positive body, literal i against the atoms of sources[i]."""
-    body = template.pos_body
-
-    def go(i: int, s: Subst) -> Iterator[Subst]:
-        if i == len(body):
-            yield s
-            return
-        lit = apply_subst(body[i], s)
-        if isinstance(lit, Var):
-            raise UncallableLiteralError(
-                f"{template.loc}: body literal {body[i].name} is unbound when reached"
-            )
-        if is_ground(lit):
-            if lit in sources[i].all:
-                yield from go(i + 1, s)
-            return
-        for a in sources[i].candidates(lit):
-            s2 = match(lit, a, s)
-            if s2 is not None:
-                yield from go(i + 1, s2)
-
-    yield from go(0, {})
+    @staticmethod
+    def _insert(table, paths, atoms):
+        for a in atoms:
+            try:
+                key = tuple([reduce(lambda t, i: t.args[i], path, a) for path in paths])
+            except IndexError:
+                continue  # a shape that no literal with these paths matches
+            table.setdefault(key, []).append(a)
 
 
-def fired_instances(program: Program, params, current, delta=None) -> Iterator[GroundRule]:
+def _keyed(term, bound, path=()):
+    """Paths to the maximal subterms of term whose variables are all bound."""
+    for j, a in enumerate(term.args):
+        if set(variables_of(a)) <= bound:
+            yield (*path, j), a
+        elif isinstance(a, Compound):
+            yield from _keyed(a, bound, (*path, j))
+
+
+class _Plan:
+    """A stratum's templates compiled once per call over the index.  Per body
+    literal, left to right: a membership test if the literals before it bind
+    all its variables, else its functor/arity, the paths to its maximal bound
+    subterms with those subterms (the key) and its other arguments by position
+    (the binder).  A round visits the body positions delta can match."""
+
+    def __init__(self, program: Program, index: _Index):
+        self.index, self.compiled, self.pairs = index, [], []
+        for k, t in enumerate(program.templates):
+            bound, steps = set(), []
+            for i, lit in enumerate(t.pos_body):
+                self.pairs.append((k, i, lit))
+                if isinstance(lit, Var) or set(variables_of(lit)) <= bound:
+                    steps.append((lit, None, (), (), ()))
+                else:
+                    key = dict(_keyed(lit, bound))
+                    free = [(j, a) for j, a in enumerate(lit.args) if (j,) not in key]
+                    steps.append((lit, (lit.functor, len(lit.args)), tuple(key), key.values(), free))
+                bound.update(variables_of(lit))
+            self.compiled.append((t, steps))
+        self.candidates = functor_index([lit for _, _, lit in self.pairs])
+
+    def passes(self, delta):
+        if delta is None:
+            return [(k, None) for k in range(len(self.compiled))]
+        one_per_sig = {(a.functor, len(a.args)): a for a in delta}.values()
+        found = {j for a in one_per_sig for j in self.candidates(a)}
+        return [self.pairs[j][:2] for j in sorted(found)]
+
+
+def fired_instances(program: Program, params, current, delta=None, plan=None) -> Iterator[GroundRule]:
     """Ground instances firing against `current` with parameter set `params`;
-    with `delta` (a subset of `current`), only those using an atom of delta."""
-    index = _AtomIndex(current if params <= current else current | params)
-    new = None if delta is None else _AtomIndex(delta)
-    keys = {(a.functor, len(a.args)) for a in delta or ()}
-    for t in program.templates:
-        # With delta, one pass per body position that delta can match: that
-        # literal against delta, the others against all atoms.
-        n = len(t.pos_body)
-        passes = [(index,) * n] if new is None else [
-            (index,) * i + (new,) + (index,) * (n - i - 1)
-            for i, lit in enumerate(t.pos_body)
-            if isinstance(lit, Var) or (lit.functor, len(lit.args)) in keys
-        ]
-        for sources in passes:
-            for s in _body_substs(t, sources):
-                negs = tuple(apply_subst(n, s) for n in t.neg_body)
-                bad = [n for n in negs if not is_ground(n)]
-                if bad:
-                    raise NonGroundNegationError(
-                        f"{t.loc}: negative condition {term_to_str(bad[0])} "
-                        "is not ground after matching the positive body"
-                    )
-                if any(n in params for n in negs):
-                    continue
-                head = apply_subst(t.head, s)
-                if not is_ground(head):
-                    raise NonGroundHeadError(
-                        f"{t.loc}: head {term_to_str(head)} is not ground "
-                        "after matching the positive body"
-                    )
-                body = frozenset(apply_subst(b, s) for b in t.pos_body)
-                yield GroundRule(head, body, frozenset(negs), t.loc)
+    with `delta` (a subset of `current`), only those using an atom of delta.
+    `plan` compiles the program over an index of both, delta added last."""
+    if plan is None:
+        plan = _Plan(program, _Index((current | params) - (delta or frozenset())))
+        plan.index.add(delta or ())
+
+    def join(i, s, matched):  # this pass's literal d against delta, the rest against all
+        lit, sig, paths, parts, free = steps[i]
+        if sig is None:
+            a = apply_subst(lit, s)
+            if isinstance(a, Var):
+                raise UncallableLiteralError(
+                    f"{t.loc}: body literal {lit.name} is unbound when reached"
+                )
+            bucket = [a] if a in plan.index.atoms else ()
+        else:
+            bucket = plan.index.lookup(sig, paths, tuple([apply_subst(p, s) for p in parts]))
+        if i == d:  # delta's atoms end the bucket
+            bucket = list(takewhile(delta.__contains__, reversed(bucket)))
+        for a in bucket:
+            s2 = dict(s)  # bind the free arguments; nested ones by match
+            for j, p in free:
+                if type(p) is Var:
+                    if (v := s2.setdefault(p.name, a.args[j])) is not a.args[j] and v != a.args[j]:
+                        break
+                elif (s2 := match(p, a.args[j], s2)) is None:
+                    break
+            else:  # the last literal yields without one more generator
+                m = matched + (a,)
+                yield from join(i + 1, s2, m) if i + 1 < len(steps) else ((s2, m),)
+
+    for k, d in plan.passes(delta):
+        t, steps = plan.compiled[k]
+        for s, matched in join(0, {}, ()) if steps else [({}, ())]:
+            negs = [apply_subst(n, s) for n in t.neg_body]
+            bad = [n for n in negs if not is_ground(n)]
+            if bad:
+                raise NonGroundNegationError(
+                    f"{t.loc}: negative condition {term_to_str(bad[0])} "
+                    "is not ground after matching the positive body"
+                )
+            if not params.isdisjoint(negs):
+                continue
+            head = apply_subst(t.head, s)
+            if not is_ground(head):
+                raise NonGroundHeadError(
+                    f"{t.loc}: head {term_to_str(head)} is not ground "
+                    "after matching the positive body"
+                )
+            yield GroundRule(head, frozenset(matched), frozenset(negs), t.loc)
 
 
-def apply_T(program: Program, params, current, delta=None, why=None) -> frozenset:
+def apply_T(program: Program, params, current, delta=None, why=None, plan=None) -> frozenset:
     """One application of the consequence operator: params plus fired heads.
     With `delta`, only instances using an atom of delta fire; `why` receives
     the canonically least instance for each head not in `current`."""
     out = set(params)
-    for inst in fired_instances(program, params, current, delta):
+    for inst in fired_instances(program, params, current, delta, plan):
         out.add(inst.head)
         if why is not None and inst.head not in current:
             # Least rather than first found, so set order cannot change it.
@@ -168,28 +218,21 @@ def _canonical(r: GroundRule):
     return sorted(map(sort_key, r.body)), sorted(map(sort_key, r.negs)), str(r.loc)
 
 
-def _iterate(program: Program, params, limits: Limits, why: dict) -> frozenset:
-    """Iteration from the parameters: the first round fires every instance,
-    each later one only those using an atom new in the round before."""
-    current, delta = params, None
-    iters = 0
-    while True:
+def _iterate(program: Program, params, limits: Limits, why: dict, index: _Index) -> None:
+    """Rounds adding to the index until one adds no atom: the first fires every
+    instance, each later one only those using an atom new in the one before."""
+    plan, current, delta = _Plan(program, index), index.atoms, None
+    for iters in count(1):
         # Through the module global, so a wrapped apply_T sees every round.
-        delta = apply_T(program, params, current, delta, why) - current
+        delta = apply_T(program, params, current, delta, why, plan) - current
         if not delta:
-            return current
-        current = current | delta
-        if len(current) > limits.max_atoms:
-            raise ResourceLimitError(
-                f"derived-atom cap exceeded ({limits.max_atoms}); not converged",
-                partial=current,
-            )
-        iters += 1
-        if iters > limits.max_iters:
-            raise ResourceLimitError(
-                f"iteration cap exceeded ({limits.max_iters}); not converged",
-                partial=current,
-            )
+            return
+        index.add(delta)
+        for used, cap, what in ((len(current), limits.max_atoms, "derived-atom"),
+                                (iters, limits.max_iters, "iteration")):
+            if used > cap:
+                raise ResourceLimitError(f"{what} cap exceeded ({cap}); not converged",
+                                         partial=frozenset(current))
 
 
 def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) -> ModelSet:
@@ -201,23 +244,19 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     limits = limits or Limits()
     params = frozenset(params)
     negation = any(t.neg_body for t in program.templates)
-    if any(isinstance(t.head, Var) for t in program.templates):
+    if (params or negation) and any(isinstance(t.head, Var) for t in program.templates):
         # A bare-variable head makes the head region all of the universe:
         # no nonempty parameter set is allowable and negation cannot refer
         # to anything below the (single) component.
-        if params:
-            raise VariableHeadRestrictionError(
-                "variable-head programs require an empty parameter set"
-            )
-        if negation:
-            raise VariableHeadRestrictionError(
-                "variable-head programs cannot use negation"
-            )
+        raise VariableHeadRestrictionError(
+            "variable-head programs require an empty parameter set" if params
+            else "variable-head programs cannot use negation"
+        )
     strata = stratify_templates(program.templates).strata if negation else (program.templates,)
-    current, why = params, {}
+    index, why = _Index(params), {}
     for stratum in strata:
-        current = _iterate(Program(stratum), current, limits, why)
-    return ModelSet(current, why)
+        _iterate(Program(stratum), frozenset(index.atoms), limits, why, index)
+    return ModelSet(frozenset(index.atoms), why)
 
 
 def answers(atoms, goal: Term) -> list[Subst]:
@@ -225,16 +264,10 @@ def answers(atoms, goal: Term) -> list[Subst]:
     in the canonical order of the atoms they match."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeQueryError(f"cannot query a negation: {term_to_str(goal)}")
-    out = []
-    seen = set()
-    for g in sorted(atoms, key=sort_key):
-        s = match(goal, g)
-        if s is not None:
-            frozen = tuple(sorted(s.items()))
-            if frozen not in seen:
-                seen.add(frozen)
-                out.append(s)
-    return out
+    hits = [(a, s) for a in atoms if (s := match(goal, a)) is not None]
+    hits.sort(key=lambda h: sort_key(h[0]))
+    # One substitution per binding set, where its first atom falls.
+    return list({tuple(sorted(s.items())): s for _, s in hits}.values())
 
 
 def query(program: Program, params, goal: Term, limits: Optional[Limits] = None):

@@ -336,6 +336,7 @@ def verify_report(program: Program, params, j: Justification) -> list[str]:
     params = frozenset(params)
     has_negation = any(t.neg_body for t in program.templates)
     effective = None  # parameters visible to negative conditions, per stratum
+    candidates = functor_index([t.head for t in program.templates])
 
     prior: set = set()
     for i, (prop, witness) in enumerate(j.steps):
@@ -364,10 +365,8 @@ def verify_report(program: Program, params, j: Justification) -> list[str]:
                         f"{where}: negative condition {term_to_str(blocked[0])} "
                         "holds in the effective parameter set"
                     )
-            if not any(
-                _is_ground_instance(t, prop, witness.body, witness.negs)
-                for t in program.templates
-            ):
+            if not any(_is_ground_instance(program.templates[k], prop, witness.body, witness.negs)
+                       for k in candidates(prop)):
                 problems.append(f"{where}: not a ground instance of any rule")
         prior.add(prop)
     return problems

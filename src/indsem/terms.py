@@ -30,6 +30,12 @@ class Compound:
     functor: str
     args: tuple["Term", ...] = ()
 
+    def __post_init__(self):  # hashed once, from the arguments' cached hashes
+        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+
+    def __hash__(self):
+        return self._hash
+
     def __repr__(self):
         return f"<{term_to_str(self)}>"
 

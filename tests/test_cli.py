@@ -146,6 +146,34 @@ def test_explain_wrapped_left_recursion_bottom_up(capsys, tmp_path):
     assert out.splitlines()[-1].startswith("16. holds(tc(0,8))  :- holds(edge(7,8)), holds(tc(0,7))")
 
 
+def test_explain_wrapped_left_recursion_43_edges(capsys, tmp_path):
+    # Every holds(edge(Z,Y)) lookup is keyed on Z under the wrapper.
+    prog, facts = _chain_files(tmp_path, 43)
+    code, out, _ = run(capsys, "explain", prog, "--facts", facts,
+                       "--wrap", "holds", "-q", "holds(tc(43,0))")
+    assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "explain", prog, "--facts", facts,
+                       "--wrap", "holds", "-q", "holds(tc(0,43))")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("86. holds(tc(0,43))  :- holds(edge(42,43)), holds(tc(0,42))")
+
+
+def test_model_left_recursion_200_edges(capsys, tmp_path):
+    prog, facts = _chain_files(tmp_path, 200)
+    code, out, _ = run(capsys, "model", prog, "--facts", facts)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 200 + 200 * 201 // 2 and "tc(0,200)." in lines
+
+
+def test_model_long_propositional_chain(capsys, tmp_path):
+    prog = tmp_path / "chain.ind"
+    prog.write_text("p0.\n" + "".join(f"p{k} :- p{k - 1}.\n" for k in range(1, 2000)))
+    code, out, _ = run(capsys, "model", str(prog))
+    assert code == 0
+    assert sorted(out.splitlines()) == sorted(f"p{k}." for k in range(2000))
+
+
 def test_explain_output_independent_of_fact_order(tmp_path):
     # Two paths of one length reach d; which one is printed must not
     # depend on the order of the facts or on string hashing.

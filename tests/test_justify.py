@@ -4,9 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import meta_paths
+from test_seminaive import _case, _facts, _programs
 from indsem import engine, justify
 from indsem.errors import (
     IndsemError,
@@ -23,7 +27,9 @@ from indsem.justify import (
     verify,
     verify_report,
 )
-from indsem.parser import parse_paramset, parse_program, parse_term
+from indsem.meta import assemble_meta
+from indsem.parser import Program, parse_paramset, parse_program, parse_term
+from indsem.terms import sort_key
 
 TC = parse_program("tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n")
 EDGES = parse_paramset("edge(1,2).\nedge(2,3).\n")
@@ -305,6 +311,44 @@ def test_verify_rejects_nonground_step():
     j = Justification(((parse_term("edge(1,Y)"), ParamWitness()),))
     report = verify_report(TC, EDGES, j)
     assert any("not ground" in p for p in report)
+
+
+def _all_templates_report(program, params, j):
+    """The reference: verify_report checking every step against every template."""
+    with mock.patch.object(justify, "functor_index", lambda terms: lambda q: range(len(terms))):
+        return verify_report(program, params, j)
+
+
+@given(_programs, _facts, st.data())
+def test_verify_report_equals_all_templates_reference(rules, facts, data):
+    case = _case(rules, facts)
+    if case is None or not case[2] - case[1]:
+        return
+    program, params, model = case
+    j = prove(program, params, data.draw(st.sampled_from(sorted(model - params, key=sort_key))))
+    steps = list(j.steps)
+    rules_used = [(k, w) for k, (_, w) in enumerate(steps) if isinstance(w, RuleWitness)]
+    k, w = data.draw(st.sampled_from(rules_used))
+    other = data.draw(st.sampled_from([v for _, v in rules_used if v.loc != w.loc] or [w]))
+    steps[k] = (steps[k][0], data.draw(st.sampled_from([
+        w,
+        RuleWitness(other.head, w.body, w.negs, w.loc),  # a wrong head
+        RuleWitness(w.head, frozenset(sorted(w.body, key=sort_key)[1:]), w.negs, w.loc),  # a body atom missing
+        other,  # a rule of another template
+    ])))
+    j = Justification(tuple(steps))
+    assert verify_report(program, params, j) == _all_templates_report(program, params, j)
+
+
+@pytest.mark.parametrize("path", meta_paths(), ids=lambda p: p.stem)
+def test_verify_report_of_variable_head_programs_equals_reference(path):
+    source = parse_program(path.read_text(), path.name)
+    program = assemble_meta(source)
+    # By the metainterpreter's adequacy, the object program's model.
+    goals = engine.least_fixpoint(Program(source.object_templates), frozenset()).atoms
+    for goal in sorted(goals, key=sort_key):
+        j = prove(program, frozenset(), goal)
+        assert verify_report(program, frozenset(), j) == _all_templates_report(program, frozenset(), j) == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,43 @@ from indsem.parser import Program, parse_program, parse_term
 from indsem.terms import is_ground, unifiable
 
 # Negation-free rules with longer bodies, so that one stratum takes many
-# rounds and atoms join with others new in different rounds.
+# rounds and atoms join with others new in different rounds.  Their literals
+# take arities 0-2 under one name, repeated variables, constants where an
+# earlier literal binds a variable, nested arguments (n/2) and the holds/1
+# wrapper.  Variables stand only where atoms have constants, as the oracle's
+# universe assumes, and heads are flat unless the whole rule is wrapped, so
+# models stay finite.
+def _shaped(leaves):
+    leaf = st.sampled_from(leaves)
+    flat = st.builds(
+        lambda name, xs: name + (f"({','.join(xs)})" if xs else ""),
+        st.sampled_from("pqrs"),
+        st.lists(leaf, max_size=2),
+    )
+    nested = st.builds("n(f(g({}),{}),{})".format, leaf, leaf, leaf)
+    return flat, flat | nested
+
+
+def _wrapped(literals):
+    return literals | st.builds("holds({})".format, literals)
+
+
+_heads, _bodies = _shaped(["a", "b", "X", "Y", "Z"])
 _positive_rules = st.builds(
-    lambda head, body: f"{head} :- {', '.join(body)}.\n",
-    _literals,
-    st.lists(_literals, min_size=1, max_size=3),
+    lambda head, body, wrap: (
+        f"holds({head}) :- {', '.join(f'holds({b})' for b in body)}.\n" if wrap
+        else f"{head} :- {', '.join(body)}.\n"
+    ),
+    _heads,
+    st.lists(_wrapped(_bodies), min_size=1, max_size=3),
+    st.booleans(),
 )
 _programs = st.builds(
     lambda rules, positive: rules + positive,
     st.lists(_rules, max_size=4),
     st.lists(_positive_rules, max_size=6),
 ).filter(bool)
-_facts = st.lists(_literals, max_size=4)
+_facts = st.lists(_literals | _wrapped(_shaped(["a", "b"])[1]), max_size=6)
 
 
 def _case(rules, facts):
