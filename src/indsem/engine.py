@@ -4,11 +4,10 @@ Templates are grounded on demand by join plans compiled once per stratum:
 positive body literals are looked up left to right in one index of the
 growing atom set (derived atoms plus parameters), keyed on the subterms the
 literals before them bind; negative conditions are tested against the
-parameter set only, and the head must be ground.  After the first round, an
+parameter set, and the head must be ground.  After the first round, an
 instance fires only if some body literal matches an atom new since the round
 before (semi-naive evaluation); the instance that first derives an atom is its
-witness.  Strata are evaluated bottom-up, each one's output the next one's
-parameter set.
+witness.  Strata grow that one set bottom-up, each reading it as parameters.
 """
 
 from __future__ import annotations
@@ -199,32 +198,34 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
             yield GroundRule(head, frozenset(matched), frozenset(negs), t.loc)
 
 
-def apply_T(program: Program, params, current, delta=None, why=None, plan=None) -> frozenset:
-    """One application of the consequence operator: params plus fired heads.
+def apply_T(program: Program, params, current, delta=None, why=None, plan=None) -> set:
+    """One step's increment: the heads of firing instances not in `current`.
     With `delta`, only instances using an atom of delta fire; `why` receives
-    the canonically least instance for each head not in `current`."""
-    out = set(params)
+    each such head's canonically least instance, which set order cannot change."""
+    out = set()
     for inst in fired_instances(program, params, current, delta, plan):
-        out.add(inst.head)
-        if why is not None and inst.head not in current:
-            # Least rather than first found, so set order cannot change it.
-            first = why.setdefault(inst.head, inst)
-            if first is not inst and _canonical(inst) < _canonical(first):
-                why[inst.head] = inst
-    return frozenset(out)
+        if inst.head not in current:
+            out.add(inst.head)
+            if why is not None:
+                first = why.setdefault(inst.head, inst)
+                if first is not inst and _canonical(inst) < _canonical(first):
+                    why[inst.head] = inst
+    return out
 
 
 def _canonical(r: GroundRule):
     return sorted(map(sort_key, r.body)), sorted(map(sort_key, r.negs)), str(r.loc)
 
 
-def _iterate(program: Program, params, limits: Limits, why: dict, index: _Index) -> None:
+def _iterate(program: Program, limits: Limits, why: dict, index: _Index) -> None:
     """Rounds adding to the index until one adds no atom: the first fires every
     instance, each later one only those using an atom new in the one before."""
     plan, current, delta = _Plan(program, index), index.atoms, None
     for iters in count(1):
-        # Through the module global, so a wrapped apply_T sees every round.
-        delta = apply_T(program, params, current, delta, why, plan) - current
+        # Negation reads the growing set, exactly: depgraph puts unifiable heads
+        # in one component and no negative edge inside one, so nothing derived
+        # here matches a negated literal.  A wrapped global apply_T sees each round.
+        delta = apply_T(program, current, current, delta, why, plan)
         if not delta:
             return
         index.add(delta)
@@ -242,7 +243,6 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     components.check_allowable).
     """
     limits = limits or Limits()
-    params = frozenset(params)
     negation = any(t.neg_body for t in program.templates)
     if (params or negation) and any(isinstance(t.head, Var) for t in program.templates):
         # A bare-variable head makes the head region all of the universe:
@@ -255,7 +255,7 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     strata = stratify_templates(program.templates).strata if negation else (program.templates,)
     index, why = _Index(params), {}
     for stratum in strata:
-        _iterate(Program(stratum), frozenset(index.atoms), limits, why, index)
+        _iterate(Program(stratum), limits, why, index)
     return ModelSet(frozenset(index.atoms), why)
 
 

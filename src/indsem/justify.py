@@ -41,6 +41,7 @@ from .terms import (
     resolve,
     sort_key,
     term_to_str,
+    unifiable,
     unify,
 )
 
@@ -265,8 +266,10 @@ def prove(
     program: Program, params, goal: Term, limits: Optional[engine.Limits] = None
 ) -> Optional[Justification]:
     """A justification ending in the goal, or None when the goal is not in
-    the defined set (the top-down search is complete at desk scale for
-    stratified programs)."""
+    the defined set.  Programs that fail `_finite` go to the top-down search,
+    which is not complete: on a left-recursive object program under the
+    vanilla metainterpreter, an underivable goal ends on the depth cap
+    (ResourceLimitError) instead of getting None."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeGoalError(f"cannot prove a negation: {term_to_str(goal)}")
     if not is_ground(goal):
@@ -331,10 +334,23 @@ def _is_ground_instance(t: RuleTemplate, head, body, negs) -> bool:
     return False
 
 
+def _negation_support(templates, candidates) -> Program:
+    """The templates whose heads unify with some negated literal, closed
+    downward along the dependency edges: all that negative conditions read,
+    even when the whole model is infinite."""
+    keep, todo = set(), [n for t in templates for n in t.neg_body]
+    while todo:
+        lit = todo.pop()
+        for k in candidates(lit):
+            if k not in keep and unifiable(lit, templates[k].head):
+                keep.add(k)
+                todo.extend(templates[k].pos_body + templates[k].neg_body)
+    return Program(tuple(templates[k] for k in sorted(keep)))
+
+
 def verify_report(program: Program, params, j: Justification) -> list[str]:
     problems: list[str] = []
     params = frozenset(params)
-    has_negation = any(t.neg_body for t in program.templates)
     effective = None  # parameters visible to negative conditions, per stratum
     candidates = functor_index([t.head for t in program.templates])
 
@@ -358,7 +374,8 @@ def verify_report(program: Program, params, j: Justification) -> list[str]:
                 )
             if witness.negs:
                 if effective is None:
-                    effective = engine.least_fixpoint(program, params).atoms if has_negation else params
+                    support = _negation_support(program.templates, candidates)
+                    effective = engine.least_fixpoint(support, params).atoms
                 blocked = sorted(witness.negs & effective, key=sort_key)
                 if blocked:
                     problems.append(

@@ -33,6 +33,20 @@ class FiniteUniverse:
             out |= constants_of(a)
         return frozenset(out)
 
+    def subterms_at(self, paths) -> frozenset:
+        """The subterms of the atoms found at any of the argument paths."""
+        out: set = set()
+        for a in self.atoms:
+            for path in paths:
+                t = a
+                for i in path:
+                    if i >= len(t.args):
+                        break
+                    t = t.args[i]
+                else:
+                    out.add(t)
+        return frozenset(out)
+
 
 def universe_for(program: Program, params, model_atoms) -> FiniteUniverse:
     """A sound finite universe: the computed output plus the parameters."""
@@ -50,19 +64,21 @@ def _proposition_vars(t: RuleTemplate) -> set[str]:
     return out
 
 
-def _template_vars(t: RuleTemplate) -> list[str]:
-    seen: dict[str, None] = {}
+def _template_vars(t: RuleTemplate) -> dict[str, set]:
+    """Each variable, in order of first occurrence, with the argument paths
+    at which it occurs in the head or a literal."""
+    seen: dict[str, set] = {}
 
-    def walk(x: Term):
+    def walk(x: Term, path):
         if isinstance(x, Var):
-            seen.setdefault(x.name)
+            seen.setdefault(x.name, set()).add(path)
         else:
-            for a in x.args:
-                walk(a)
+            for j, a in enumerate(x.args):
+                walk(a, (*path, j))
 
     for term in (t.head, *t.pos_body, *t.neg_body):
-        walk(term)
-    return list(seen)
+        walk(term, ())
+    return seen
 
 
 def preground(
@@ -70,16 +86,23 @@ def preground(
 ) -> frozenset:
     """Every ground instance of every template over the universe.
 
-    Proposition-position variables range over the universe atoms, all other
-    variables over the constants occurring in them.
+    Proposition-position variables range over the universe atoms.  Every
+    other variable ranges over the constants occurring in them and over the
+    subterms they have at the argument paths where the variable occurs, so
+    it can stand for a compound argument such as f(a) in p(f(a)).
     """
     atoms = sorted(universe.atoms, key=term_to_str)
-    consts = sorted(universe.constants, key=term_to_str)
+    consts = universe.constants
     rules: set[GroundRule] = set()
     for t in program.templates:
-        names = _template_vars(t)
+        paths = _template_vars(t)
+        names = list(paths)
         prop_names = _proposition_vars(t)
-        ranges = [atoms if v in prop_names else consts for v in names]
+        ranges = [
+            atoms if v in prop_names
+            else sorted(consts | universe.subterms_at(paths[v]), key=term_to_str)
+            for v in names
+        ]
         count = 1
         for r in ranges:
             count *= max(len(r), 1)

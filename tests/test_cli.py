@@ -46,6 +46,14 @@ def test_model_with_oracle_check(capsys):
     assert "unreach(4).\n" in out
 
 
+def test_model_oracle_binds_variables_to_compound_arguments(capsys, tmp_path):
+    (tmp_path / "q.ind").write_text("q(X) :- p(X).\n")
+    (tmp_path / "p.facts").write_text("p(f(a)).\n")
+    code, out, err = run(capsys, "model", str(tmp_path / "q.ind"),
+                         "--facts", str(tmp_path / "p.facts"), "--oracle")
+    assert (code, out, err) == (0, "p(f(a)).\nq(f(a)).\n", "")
+
+
 def test_model_multiple_program_files(capsys):
     code, out, _ = run(capsys, "model", _p("chain.ind"), _p("facts_only.ind"))
     assert code == 0

@@ -31,17 +31,17 @@ def _atoms(text):
 def test_apply_T_negation_against_params():
     prog = parse_program("p :- not(q).\n")
     assert apply_T(prog, frozenset(), frozenset()) == _atoms("p")
-    assert apply_T(prog, _atoms("q"), frozenset()) == _atoms("q")
+    assert apply_T(prog, _atoms("q"), frozenset()) == frozenset()
 
 
-def test_apply_T_includes_params_and_fired_heads():
+def test_apply_T_returns_only_new_fired_heads():
     out = apply_T(TC, EDGES, EDGES)
-    assert out == EDGES | _atoms("tc(1,2) tc(2,3)")
+    assert out == _atoms("tc(1,2) tc(2,3)")
 
 
 def test_apply_T_body_matches_current_and_params():
     prog = parse_program("p :- q, r.\n")
-    assert apply_T(prog, _atoms("q"), _atoms("r")) == _atoms("q p")
+    assert apply_T(prog, _atoms("q"), _atoms("r")) == _atoms("p")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,25 @@ def test_model_is_closed_under_apply_T():
             model = least_fixpoint(program, params).atoms
         except VariableHeadRestrictionError:
             continue
-        assert apply_T(program, params, model) == model, path.stem
+        assert apply_T(program, params, model) == frozenset(), path.stem
+
+
+def test_strata_grow_one_set_by_increments(monkeypatch):
+    # Right TC below a chain of strata headed by a negation: each stratum reads
+    # the atoms below it, and each apply_T call returns only its new atoms.
+    facts = frozenset(parse_term(f"edge({i},{i + 1})") for i in range(60))
+    chain = parse_program("p0 :- not(q).\n" + "".join(f"p{i} :- p{i - 1}.\n" for i in range(1, 500)))
+    sizes = []
+
+    def counted(*args, **kwargs):
+        out = apply_T(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(engine, "apply_T", counted)
+    model = least_fixpoint(TC + chain, facts).atoms
+    assert sum(sizes) == len(model) - len(facts) == 60 * 61 // 2 + 500
+    assert model == least_fixpoint(TC, facts).atoms | least_fixpoint(chain, frozenset()).atoms
 
 
 def test_template_order_irrelevant():

@@ -288,6 +288,24 @@ def test_verify_rejects_blocked_negative_condition():
     assert not verify(prog, _atoms("q"), j)
 
 
+def test_verify_of_an_infinite_program_with_negation():
+    # The model is infinite (nat), but negative conditions read only q.
+    prog = parse_program(
+        "nat(z).\nnat(s(X)) :- nat(X).\nq(s(s(z))).\np(X) :- nat(X), not(q(X)).\n"
+    )
+    j = prove(prog, frozenset(), parse_term("p(s(z))"))
+    assert j is not None and verify_report(prog, frozenset(), j) == []
+    nat, p = (r for r in prog.templates if r.pos_body)
+    two, forged = parse_term("nat(s(s(z)))"), parse_term("p(s(s(z)))")
+    steps = j.steps[:-1] + (
+        (two, RuleWitness(two, _atoms("nat(s(z))"), frozenset(), nat.loc)),
+        (forged, RuleWitness(forged, frozenset({two}), _atoms("q(s(s(z)))"), p.loc)),
+    )
+    assert verify_report(prog, frozenset(), Justification(steps)) == [
+        "step 4 (p(s(s(z)))): negative condition q(s(s(z))) holds in the effective parameter set"
+    ]
+
+
 def test_verify_rejects_non_instances():
     j = Justification((
         (parse_term("edge(1,2)"), ParamWitness()),

@@ -71,11 +71,12 @@ def _case(rules, facts):
 
 
 def _naive(program, params):
-    """Stratum by stratum, apply_T iterated from the empty set."""
+    """Stratum by stratum, apply_T iterated from the parameters, adding each
+    step's increment until one is empty."""
     for stratum in stratify_templates(program.templates).strata:
-        current = frozenset()
-        while (nxt := engine.apply_T(Program(stratum), params, current)) != current:
-            current = nxt
+        current = frozenset(params)
+        while step := engine.apply_T(Program(stratum), params, current):
+            current |= step
         params = current
     return params
 
