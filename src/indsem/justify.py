@@ -4,14 +4,14 @@ A justification is a finite sequence of propositions, each witnessed either
 by parameter membership or by a fired ground rule whose body appears earlier
 in the sequence.  Programs with finite models (see _finite) are evaluated
 once bottom-up, and each atom is witnessed by the rule instance that first
-derived it.  The others (metaprograms) go to a tabled resolution search:
-every ground subgoal is proved at most once, a subgoal already on the call
-stack fails at that occurrence, and negative conditions are checked by
-failure, which under stratification coincides with testing the stratum's
-parameter set.  Nonground subgoals (from variable body literals and
-nonground clause/2 facts) resolve against parameter atoms and rule heads,
-with a growth check that stops a variable-head rule from rederiving a goal
-it just wrapped (the clause(clause(...)) regress).
+derived it.  The others (metaprograms) go to tabled resolution by call
+variant: each call, ground or not, owns a table of answers; a call already
+evaluated in the current pass reads its answers so far, and passes repeat
+until the tables read stop growing, so the answer depends on neither clause
+order nor a search budget.  Negated ground atoms are evaluated to completion
+first, which stratification makes exact.  A growth check stops a
+variable-head rule from wrapping a call under evaluation ever deeper (the
+clause(clause(...)) regress).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .terms import (
     Compound,
     Term,
     Var,
+    apply_subst,
     functor_index,
     is_ground,
     match,
@@ -43,6 +44,7 @@ from .terms import (
     term_to_str,
     unifiable,
     unify,
+    variables_of,
 )
 
 
@@ -63,15 +65,6 @@ class Justification:
     @property
     def final(self) -> Term:
         return self.steps[-1][0]
-
-
-def _embeds(t: Term, sub: Term) -> bool:
-    """True when sub occurs in t (as t itself or any subterm)."""
-    if t == sub:
-        return True
-    if isinstance(t, Compound):
-        return any(_embeds(a, sub) for a in t.args)
-    return False
 
 
 def _deepest(terms, depth: int, out: dict) -> dict:
@@ -99,143 +92,146 @@ def _finite(program: Program) -> bool:
     return not any(d and r for d, r in zip(deeper, recursive_rules(program.templates)))
 
 
-class _Prover:
+def _variant(t: Term) -> Term:
+    """t with its variables renamed #0, #1, ... in order of first occurrence:
+    one term per call variant.  No source variable name contains '#', so
+    calls and tabled answers never share a variable with a template, and
+    templates need no renaming."""
+    names = variables_of(t)
+    return apply_subst(t, {v: Var(f"#{i}") for i, v in enumerate(names)}) if names else t
+
+
+def _holds_call(t: Term, calls) -> bool:
+    """True when t or one of its subterms is a variant of one of the calls."""
+    return _variant(t) in calls or (
+        isinstance(t, Compound) and any(_holds_call(a, calls) for a in t.args)
+    )
+
+
+class _Tables:
+    """Answer tables keyed by call (a goal in _variant form), each answer a
+    _variant term mapped to whether it is ground.  A call is complete when
+    its evaluation read only complete tables, when it is ground and holds,
+    or when a pass that made it added no answer anywhere."""
+
     def __init__(self, program: Program, params, limits: engine.Limits):
         self.templates = program.templates
         self.candidates = functor_index([t.head for t in self.templates])
-        self.params = frozenset(params)
-        self.params_sorted = sorted(self.params, key=sort_key)
-        self.limits = limits
-        # ground atom -> its RuleWitness, or None for a parameter
-        self.table: dict = {}
-        self.stack: set = set()
+        self.params_sorted = sorted(params, key=sort_key)
+        self.max_depth = limits.max_depth
+        self.tables: dict = {}
+        self.complete: set = set()
+        # ground answer -> the RuleWitness that first derived it, None for a parameter
+        self.why: dict = dict.fromkeys(params)
+        self.size = 0  # answers in all tables
+        self.seen: set = set()  # calls evaluated in this pass
+        self.stack: set = set()  # calls being evaluated, for the growth check
+        self.partial = False  # the evaluation read a table that may still grow
 
-    def _templates_for(self, goal: Term):
-        """The templates whose head may unify with goal, in program order."""
-        return (self.templates[j] for j in self.candidates(goal))
+    def solve(self, goal: Term, depth: int = 0) -> dict:
+        """The complete answer table of goal's call."""
+        goal = _variant(goal)
+        outer, passes = (self.seen, self.stack, self.partial), 0
+        while goal not in self.complete:
+            # An infinite answer table grows in every pass, at no depth.
+            passes += 1
+            if passes > self.max_depth:
+                raise ResourceLimitError(f"proof depth cap exceeded ({self.max_depth} passes)")
+            self.seen, self.stack, size = set(), set(), self.size
+            self.call(goal, depth)
+            if self.size == size:
+                self.complete |= self.seen
+        self.seen, self.stack, self.partial = outer
+        return self.tables[goal]
 
-    def _rename(self, t: RuleTemplate):
-        m: dict = {}
-        head = rename_term(t.head, m)
-        pos = tuple(rename_term(b, m) for b in t.pos_body)
-        negs = tuple(rename_term(n, m) for n in t.neg_body)
-        return head, pos, negs, t.loc
-
-    def _check_depth(self, depth: int):
-        if depth > self.limits.max_depth:
-            raise ResourceLimitError(f"proof depth cap exceeded ({self.limits.max_depth})")
-
-    def _negs_fail(self, negs, subst, loc, depth) -> bool:
-        """True when some negative condition holds (rule instance blocked)."""
-        for n in negs:
-            g = resolve(n, subst)
-            if not is_ground(g):
-                raise NonGroundNegationError(
-                    f"{loc}: negative condition {term_to_str(g)} not ground"
-                )
-            if self._derivable(g, depth):
-                return True
-        return False
-
-    def _derivable(self, goal: Term, depth: int) -> bool:
-        saved = self.stack
-        self.stack = set()
-        try:
-            for _ in self._solve(goal, {}, depth + 1, ()):
-                return True
-            return False
-        finally:
-            self.stack = saved
-
-    def prove_ground(self, goal: Term, depth: int) -> bool:
-        if goal in self.table:
-            return True
-        if goal in self.params:
-            self.table[goal] = None
-            return True
-        if goal in self.stack:
-            return False
-        self._check_depth(depth)
+    def call(self, goal: Term, depth: int) -> dict:
+        """The answers of goal (a call variant) found so far."""
+        table = self.tables.setdefault(goal, {})
+        if goal in self.complete:
+            return table
+        if goal in self.seen:
+            self.partial = True
+            return table
+        if depth > self.max_depth:
+            raise ResourceLimitError(f"proof depth cap exceeded ({self.max_depth})")
+        self.seen.add(goal)
         self.stack.add(goal)
-        try:
-            for t in self._templates_for(goal):
-                # Same growth check as _solve: a variable-head rule applied
-                # to a goal that wraps an ancestor (clause(clause(...),true)
-                # and the like) would regress through ever-larger goals.
-                if isinstance(t.head, Var) and any(
-                    _embeds(goal, a) for a in self.stack if a is not goal
-                ):
-                    continue
-                head, pos, negs, loc = self._rename(t)
-                s = unify(head, goal)
-                if s is None:
-                    continue
-                for s2 in self._solve_seq(pos, s, depth + 1, ()):
-                    if not self._negs_fail(negs, s2, loc, depth) and self._table(goal, pos, negs, loc, s2):
-                        return True
-            return False
-        finally:
-            self.stack.discard(goal)
-
-    def _solve(self, goal: Term, subst: dict, depth: int, chain: tuple):
-        g = resolve(goal, subst)
-        if is_ground(g):
-            if self.prove_ground(g, depth):
-                yield subst
-            return
-        if isinstance(g, Var):
-            raise UncallableLiteralError(
-                f"cannot call the unbound variable {term_to_str(g)}"
-            )
-        self._check_depth(depth)
-        for a in self.params_sorted:
-            s2 = unify(g, a, subst)
-            if s2 is not None:
-                self.table.setdefault(a, None)
-                yield s2
-        grew = any(_embeds(g, a) for a in chain)
-        chain = chain + (g,)
-        for t in self._templates_for(g):
-            # A variable-head rule resolves with any goal at all, so applying
-            # it to a goal that grew around an earlier nonground goal on this
-            # chain (clause(clause(...)) and the like) would regress forever.
-            if grew and isinstance(t.head, Var):
+        outer, self.partial = self.partial, False
+        ground = is_ground(goal)
+        if ground:
+            if goal in self.why:
+                self._add(table, goal, True)
+        else:
+            for a in self.params_sorted:
+                if unify(goal, a) is not None:
+                    self._add(table, a, True)
+        for j in self.candidates(goal):
+            if ground and table:
+                break
+            t = self.templates[j]
+            # A variable-head rule resolves with any goal, so applying it to
+            # a goal that wraps a call being evaluated (clause(clause(...))
+            # and the like) would regress through ever larger goals.
+            if isinstance(t.head, Var) and any(_holds_call(a, self.stack) for a in goal.args):
                 continue
-            head, pos, negs, loc = self._rename(t)
-            s2 = unify(g, head, subst)
-            if s2 is None:
+            s = unify(t.head, goal)
+            if s is not None:
+                self._fire(t, s, table, depth)
+        self.stack.discard(goal)
+        done = not self.partial or (ground and bool(table))
+        if done:
+            self.complete.add(goal)
+        self.partial = outer or not done
+        return table
+
+    def _fire(self, t: RuleTemplate, s: dict, table: dict, depth: int) -> None:
+        """Adds to table the head of each instance of t, extending s, whose
+        body holds.  Negative conditions are evaluated to completion, which
+        stratification makes exact."""
+        substs = [s]
+        for lit in t.pos_body:
+            joined = []
+            for s in substs:
+                g = resolve(lit, s)
+                if isinstance(g, Var):
+                    raise UncallableLiteralError(
+                        f"cannot call the unbound variable {term_to_str(g)}"
+                    )
+                for a, ground in self.call(_variant(g), depth + 1).items():
+                    s2 = unify(g, a if ground else rename_term(a, {}), s)
+                    if s2 is not None:
+                        joined.append(s2)
+            substs = joined
+        for s in substs:
+            negs = tuple(resolve(n, s) for n in t.neg_body)
+            for n in negs:
+                if not is_ground(n):
+                    raise NonGroundNegationError(
+                        f"{t.loc}: negative condition {term_to_str(n)} not ground"
+                    )
+            if any(self.solve(n, depth + 1) for n in negs):
                 continue
-            for s3 in self._solve_seq(pos, s2, depth + 1, chain):
-                if self._negs_fail(negs, s3, loc, depth):
-                    continue
-                # The answer may leave goal variables free for a later
-                # literal to bind; table the instance only when it is
-                # already ground, witness() reproves the rest.
-                h = resolve(head, s3)
-                if is_ground(h) and h not in self.table:
-                    self._table(h, pos, negs, loc, s3)
-                yield s3
+            h = resolve(t.head, s)
+            ground = is_ground(h)
+            if ground and h not in self.why:
+                body = frozenset(resolve(b, s) for b in t.pos_body)
+                if not all(is_ground(b) for b in body):
+                    continue  # no ground instance to witness h
+                self.why[h] = RuleWitness(h, body, frozenset(negs), t.loc)
+            self._add(table, h, ground)
 
-    def _table(self, h: Term, pos, negs, loc, subst: dict) -> bool:
-        """Tables the instance of a rule for ground h when its body is ground."""
-        body = frozenset(resolve(b, subst) for b in pos)
-        if all(is_ground(b) for b in body):
-            self.table[h] = RuleWitness(h, body, frozenset(resolve(n, subst) for n in negs), loc)
-        return h in self.table
-
-    def _solve_seq(self, literals, subst: dict, depth: int, chain: tuple):
-        if not literals:
-            yield subst
-            return
-        for s2 in self._solve(literals[0], subst, depth, chain):
-            yield from self._solve_seq(literals[1:], s2, depth, chain)
+    def _add(self, table: dict, h: Term, ground: bool) -> None:
+        a = h if ground else _variant(h)
+        if a not in table:
+            table[a] = ground
+            self.size += 1
 
     def witness(self, a: Term) -> Optional[RuleWitness]:
-        if a not in self.table and not self.prove_ground(a, 0):
-            # Atom solved nonground during the search; reproving its ground
-            # instance should have tabled it.
+        # An atom missing from why is a ground instance of a nonground
+        # answer; proving it as a call of its own witnesses it.
+        if a not in self.why and not self.solve(a):
             raise IndsemError(f"internal: no witness for {term_to_str(a)}")
-        return self.table[a]
+        return self.why[a]
 
 
 def _sequence(goal: Term, witness, max_depth: int) -> Justification:
@@ -266,10 +262,10 @@ def prove(
     program: Program, params, goal: Term, limits: Optional[engine.Limits] = None
 ) -> Optional[Justification]:
     """A justification ending in the goal, or None when the goal is not in
-    the defined set.  Programs that fail `_finite` go to the top-down search,
-    which is not complete: on a left-recursive object program under the
-    vanilla metainterpreter, an underivable goal ends on the depth cap
-    (ResourceLimitError) instead of getting None."""
+    the defined set.  Programs that fail `_finite` go to tabled resolution,
+    which ends on a limit (ResourceLimitError) only when a chain of calls
+    keeps building new call variants deeper than limits.max_depth, or when
+    an answer table keeps growing for more than limits.max_depth passes."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeGoalError(f"cannot prove a negation: {term_to_str(goal)}")
     if not is_ground(goal):
@@ -294,9 +290,9 @@ def prove(
                 return _sequence(goal, model.why.get, limits.max_depth) if found else None
         if any(t.neg_body for t in program.templates):
             stratify_templates(program.templates)  # reject unstratifiable programs
-        prover = _Prover(program, params, limits)
-        found = prover.prove_ground(goal, 0)
-        return _sequence(goal, prover.witness, limits.max_depth) if found else None
+        tables = _Tables(program, params, limits)
+        found = tables.solve(goal)
+        return _sequence(goal, tables.witness, limits.max_depth) if found else None
     finally:
         sys.setrecursionlimit(old_limit)
 

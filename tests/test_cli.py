@@ -136,6 +136,17 @@ def test_explain_meta_program(capsys):
 LEFT_TC = "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- tc(X,Z), edge(Z,Y).\n"
 
 
+@pytest.mark.parametrize("rules", [LEFT_TC, "".join(reversed(LEFT_TC.splitlines(True)))],
+                         ids=["base_rule_first", "recursive_rule_first"])
+def test_explain_meta_left_recursion_under_default_limits(capsys, tmp_path, rules):
+    prog = tmp_path / "left.ind"
+    prog.write_text("H :- clause(H,Body), Body.\n#object\nedge(0,1).\nedge(1,2).\nedge(2,3).\n" + rules)
+    code, out, err = run(capsys, "explain", "--meta", str(prog), "-q", "tc(3,0)")
+    assert (code, out, err) == (1, "", "no justification for tc(3,0)\n")
+    code, out, _ = run(capsys, "explain", "--meta", str(prog), "-q", "tc(0,3)")
+    assert code == 0 and out.splitlines()[-1].startswith("15. tc(0,3)  :- ")
+
+
 def _chain_files(tmp_path, n):
     prog, facts = tmp_path / "left.ind", tmp_path / "chain.facts"
     prog.write_text(LEFT_TC)

@@ -1,15 +1,17 @@
 """Justification sequences: the prover, the checker, and their formatting."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import meta_paths
+from conftest import head_candidates, meta_paths
 from test_seminaive import _case, _facts, _programs
 from indsem import engine, justify
 from indsem.errors import (
@@ -29,7 +31,7 @@ from indsem.justify import (
 )
 from indsem.meta import assemble_meta
 from indsem.parser import Program, parse_paramset, parse_program, parse_term
-from indsem.terms import sort_key
+from indsem.terms import Compound, sort_key
 
 TC = parse_program("tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n")
 EDGES = parse_paramset("edge(1,2).\nedge(2,3).\n")
@@ -119,6 +121,14 @@ def test_depth_cap():
     assert prove(prog, frozenset(), parse_term("p59")) is not None
 
 
+def test_infinite_answer_table_ends_on_the_depth_cap():
+    # f(X) has infinitely many answers, none of which satisfies h/1: each
+    # pass adds one, at no greater call depth.
+    prog = parse_program("f(0).\nf(s(X)) :- f(X).\ng :- f(X), h(X).\n")
+    with pytest.raises(ResourceLimitError):
+        prove(prog, frozenset(), parse_term("g"), engine.Limits(max_depth=50))
+
+
 def test_prove_restores_recursion_limit():
     lines = ["p0."] + [f"p{i} :- p{i - 1}." for i in range(1, 60)]
     prog = parse_program("\n".join(lines) + "\n")
@@ -198,7 +208,7 @@ def test_finite_program_is_proved_from_one_bottom_up_run(monkeypatch):
         raise AssertionError("the top-down prover was constructed")
 
     monkeypatch.setattr(engine, "least_fixpoint", counted)
-    monkeypatch.setattr(justify, "_Prover", no_prover)
+    monkeypatch.setattr(justify, "_Tables", no_prover)
     j = prove(LEFT_TC, EDGES, parse_term("tc(1,3)"))
     assert j is not None and len(calls) == 1
     assert prove(LEFT_TC, EDGES, parse_term("tc(3,1)")) is None and len(calls) == 2
@@ -211,14 +221,18 @@ def test_prover_renames_only_templates_sharing_the_goal_functor(monkeypatch):
         + "f(0).\nf(s(X)) :- f(X).\n"
     )
     assert not justify._finite(prog)
+    # The tabled routine unifies template heads with call variants without
+    # renaming the templates; count those head unifications.
+    heads = {id(t.head) for t in prog.templates}
     calls = []
-    rename = justify._Prover._rename
+    unify = justify.unify
 
-    def counted(self, t):
-        calls.append(t)
-        return rename(self, t)
+    def counted(a, b, seed=None):
+        if id(a) in heads:
+            calls.append(a)
+        return unify(a, b, seed)
 
-    monkeypatch.setattr(justify._Prover, "_rename", counted)
+    monkeypatch.setattr(justify, "unify", counted)
     j = prove(prog, frozenset(), parse_term("p1999"))
     assert j is not None and len(j.steps) == 2000
     assert len(calls) <= 4 * len(prog.templates) * 2
@@ -257,6 +271,101 @@ def test_deep_justification_does_not_exhaust_the_c_stack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The tabled path
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(_programs, _facts)
+def test_tabled_path_agrees_with_the_model(rules, facts):
+    # An unrelated term-building rule sends the program to the tabled path;
+    # the engine evaluates it without that rule.
+    case = _case(rules, facts)
+    if case is None:
+        return
+    program, params, model = case
+    tabled = program + parse_program("zz(s(X)) :- zz(X).\n")
+    assert not justify._finite(tabled)
+    outside = sorted(head_candidates(program, params, model) - model, key=sort_key)[:10]
+    for goal in sorted(model, key=sort_key) + outside:
+        j = prove(tabled, params, goal)
+        assert (j is not None) == (goal in model), goal
+        assert j is None or verify_report(tabled, params, j) == []
+
+
+VANILLA = "H :- clause(H,Body), Body.\n#object\n"
+TC_RULES = {
+    "right": ("tc(X,Y) :- edge(X,Y).", "tc(X,Y) :- edge(X,Z), tc(Z,Y)."),
+    "left": ("tc(X,Y) :- edge(X,Y).", "tc(X,Y) :- tc(X,Z), edge(Z,Y)."),
+    "double": ("tc(X,Y) :- edge(X,Y).", "tc(X,Y) :- tc(X,Z), tc(Z,Y)."),
+}
+
+
+def _object_model(source):
+    return engine.least_fixpoint(Program(source.object_templates), frozenset()).atoms
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(sorted(TC_RULES)),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+)
+@example("right", False, False, [(0, 0)])
+@example("left", False, False, [(0, 0)])
+@example("double", True, True, [(0, 0)])
+def test_vanilla_metainterpreter_agrees_with_the_object_model(kind, recursive_first, facts_first, edges):
+    rules = TC_RULES[kind][::-1] if recursive_first else TC_RULES[kind]
+    facts = tuple(f"edge({a},{b})." for a, b in edges)
+    source = parse_program(VANILLA + "\n".join(facts + rules if facts_first else rules + facts) + "\n")
+    program, model = assemble_meta(source), _object_model(source)
+    n = 1 + max((max(e) for e in edges), default=0)
+    for a in range(n):
+        for b in range(n):
+            goal = parse_term(f"tc({a},{b})")
+            j = prove(program, frozenset(), goal)
+            assert (j is not None) == (goal in model), goal
+            assert j is None or verify_report(program, frozenset(), j) == []
+
+
+def _tc_source(kind, n):
+    edges = "".join(f"edge({i},{i + 1}).\n" for i in range(n))
+    return VANILLA + edges + "\n".join(TC_RULES[kind]) + "\n"
+
+
+def _underivable(model, k=3):
+    """The first k atoms, in canonical order, built from the model's
+    predicates and constants but outside the model."""
+    preds = {(a.functor, len(a.args)) for a in model}
+    consts = {c for a in model for c in a.args}
+    atoms = (Compound(f, args) for f, n in preds for args in itertools.product(consts, repeat=n))
+    return sorted((a for a in atoms if a not in model), key=sort_key)[:k]
+
+
+ORDER_CASES = {p.stem: p.read_text() for p in meta_paths()} | {
+    f"{kind}_tc_{n}": _tc_source(kind, n) for kind in ("left", "right") for n in (3, 10)
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_tabled_answers_do_not_depend_on_template_order(name):
+    source = parse_program(ORDER_CASES[name])
+    templates = assemble_meta(source).templates
+    model = _object_model(source)
+    goals = sorted(model, key=sort_key) + _underivable(model)
+    rng = random.Random(0)
+    # The reversal puts the recursive object rule before the base rule.
+    orders = [templates, templates[::-1]] + [tuple(rng.sample(templates, len(templates))) for _ in range(2)]
+    for order in orders:
+        program = Program(order)
+        for goal in goals:
+            j = prove(program, frozenset(), goal)
+            assert (j is not None) == (goal in model), goal
+            assert j is None or verify_report(program, frozenset(), j) == []
 
 
 # ---------------------------------------------------------------------------
