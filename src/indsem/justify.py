@@ -9,9 +9,11 @@ variant: each call, ground or not, owns a table of answers; a call already
 evaluated in the current pass reads its answers so far, and passes repeat
 until the tables read stop growing, so the answer depends on neither clause
 order nor a search budget.  Negated ground atoms are evaluated to completion
-first, which stratification makes exact.  A growth check stops a
-variable-head rule from wrapping a call under evaluation ever deeper (the
-clause(clause(...)) regress).
+first, which stratification makes exact.  No variable-head rule is applied
+to a goal that unifies with a body literal wrapping such a rule's head
+(clause(H,B) in H :- clause(H,B), B.), which stops the clause(clause(...))
+regress.  The check reads the goal alone, so tables do not depend on the
+caller, but a goal of that shape is derived only by the other rules.
 """
 
 from __future__ import annotations
@@ -101,13 +103,6 @@ def _variant(t: Term) -> Term:
     return apply_subst(t, {v: Var(f"#{i}") for i, v in enumerate(names)}) if names else t
 
 
-def _holds_call(t: Term, calls) -> bool:
-    """True when t or one of its subterms is a variant of one of the calls."""
-    return _variant(t) in calls or (
-        isinstance(t, Compound) and any(_holds_call(a, calls) for a in t.args)
-    )
-
-
 class _Tables:
     """Answer tables keyed by call (a goal in _variant form), each answer a
     _variant term mapped to whether it is ground.  A call is complete when
@@ -124,24 +119,26 @@ class _Tables:
         # ground answer -> the RuleWitness that first derived it, None for a parameter
         self.why: dict = dict.fromkeys(params)
         self.size = 0  # answers in all tables
+        # the body literals that wrap a variable head, for the growth check
+        self.wrappers = [b for t in self.templates if isinstance(t.head, Var) for b in t.pos_body
+                         if not isinstance(b, Var) and t.head.name in variables_of(b)]
         self.seen: set = set()  # calls evaluated in this pass
-        self.stack: set = set()  # calls being evaluated, for the growth check
         self.partial = False  # the evaluation read a table that may still grow
 
     def solve(self, goal: Term, depth: int = 0) -> dict:
         """The complete answer table of goal's call."""
         goal = _variant(goal)
-        outer, passes = (self.seen, self.stack, self.partial), 0
+        outer, passes = (self.seen, self.partial), 0
         while goal not in self.complete:
             # An infinite answer table grows in every pass, at no depth.
             passes += 1
             if passes > self.max_depth:
                 raise ResourceLimitError(f"proof depth cap exceeded ({self.max_depth} passes)")
-            self.seen, self.stack, size = set(), set(), self.size
+            self.seen, size = set(), self.size
             self.call(goal, depth)
             if self.size == size:
                 self.complete |= self.seen
-        self.seen, self.stack, self.partial = outer
+        self.seen, self.partial = outer
         return self.tables[goal]
 
     def call(self, goal: Term, depth: int) -> dict:
@@ -155,7 +152,6 @@ class _Tables:
         if depth > self.max_depth:
             raise ResourceLimitError(f"proof depth cap exceeded ({self.max_depth})")
         self.seen.add(goal)
-        self.stack.add(goal)
         outer, self.partial = self.partial, False
         ground = is_ground(goal)
         if ground:
@@ -165,19 +161,18 @@ class _Tables:
             for a in self.params_sorted:
                 if unify(goal, a) is not None:
                     self._add(table, a, True)
+        # A variable-head rule resolves with any goal; applied to a goal it
+        # wraps, it would wrap it again: clause(clause(...), ...) and so on.
+        wrapper = any(unify(w, goal) is not None for w in self.wrappers)
         for j in self.candidates(goal):
             if ground and table:
                 break
             t = self.templates[j]
-            # A variable-head rule resolves with any goal, so applying it to
-            # a goal that wraps a call being evaluated (clause(clause(...))
-            # and the like) would regress through ever larger goals.
-            if isinstance(t.head, Var) and any(_holds_call(a, self.stack) for a in goal.args):
+            if wrapper and isinstance(t.head, Var):
                 continue
             s = unify(t.head, goal)
             if s is not None:
                 self._fire(t, s, table, depth)
-        self.stack.discard(goal)
         done = not self.partial or (ground and bool(table))
         if done:
             self.complete.add(goal)
@@ -265,7 +260,9 @@ def prove(
     the defined set.  Programs that fail `_finite` go to tabled resolution,
     which ends on a limit (ResourceLimitError) only when a chain of calls
     keeps building new call variants deeper than limits.max_depth, or when
-    an answer table keeps growing for more than limits.max_depth passes."""
+    an answer table keeps growing for more than limits.max_depth passes.
+    The growth check (see the module docstring) is its one known gap: under
+    H :- w(H). w(w(w(a))). f(s(X)) :- f(X). it misses w(w(a)), w(a), a."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeGoalError(f"cannot prove a negation: {term_to_str(goal)}")
     if not is_ground(goal):

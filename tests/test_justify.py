@@ -368,6 +368,42 @@ def test_tabled_answers_do_not_depend_on_template_order(name):
             assert j is None or verify_report(program, frozenset(), j) == []
 
 
+WRAP_RULES = ("H :- w(H).", "w(k(b)).", "top :- y, k(b).", "y :- b.", "y.", "b :- k(b).")
+
+
+@pytest.mark.parametrize(
+    "order",
+    [WRAP_RULES, WRAP_RULES[:3] + ("y.", "y :- b.", "b :- k(b)."), WRAP_RULES[::-1],
+     WRAP_RULES[:2] + ("top :- k(b), y.",) + WRAP_RULES[3:]],
+    ids=["as_written", "fact_first", "reversed", "body_swapped"],
+)
+def test_variable_head_rule_answers_do_not_depend_on_the_caller(order):
+    # k(b) is first called under b. A growth check that read the calls
+    # under evaluation cut H :- w(H) there, tabled k(b) as complete and
+    # empty, and so failed top and b in some of these orders.
+    source = "\n".join(order) + "\n"
+    model = engine.least_fixpoint(parse_program(source), frozenset()).atoms
+    program = parse_program(source + "zz(s(X)) :- zz(X).\n")
+    assert not justify._finite(program)
+    for goal in sorted(model, key=sort_key) + [parse_term(g) for g in ("k(y)", "w(b)", "k(k(b))")]:
+        j = prove(program, frozenset(), goal)
+        assert (j is not None) == (goal in model), goal
+        assert j is None or verify_report(program, frozenset(), j) == []
+
+
+def test_growth_check_leaves_wrapper_shaped_goals_to_other_rules():
+    # The known incompleteness of the growth check: w(w(a)) has the shape
+    # w(H) through which H :- w(H). wraps its head, so that rule is not
+    # applied to it.  w(w(a)), w(a) and a are in the model but not proved.
+    source = "H :- w(H).\nw(w(w(a))).\n"
+    model = engine.least_fixpoint(parse_program(source), frozenset()).atoms
+    program = parse_program(source + "zz(s(X)) :- zz(X).\n")
+    assert prove(program, frozenset(), parse_term("w(w(w(a)))")) is not None
+    for g in ("w(w(a))", "w(a)", "a"):
+        assert parse_term(g) in model
+        assert prove(program, frozenset(), parse_term(g)) is None
+
+
 # ---------------------------------------------------------------------------
 # Verification of externally supplied sequences
 # ---------------------------------------------------------------------------
