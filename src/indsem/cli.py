@@ -37,11 +37,10 @@ _OPTIONS = {
                    help="include builtin rules, call/1, and clause/2 facts "
                         "synthesized from #object clauses"),
     "--max-atoms": dict(type=int, default=engine.DEFAULT_MAX_ATOMS),
-    "--max-iters": dict(type=int, default=engine.DEFAULT_MAX_ITERS),
     "--max-depth": dict(type=int, default=engine.DEFAULT_MAX_DEPTH),
 }
 _LOAD = ("--facts", "--wrap", "--exclude-wrap", "--meta")
-_EVALUATE = _LOAD + ("--max-atoms", "--max-iters")
+_EVALUATE = _LOAD + ("--max-atoms",)
 
 
 def _add_options(p: argparse.ArgumentParser, flags) -> None:
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
     p.add_argument("-q", "--query", required=True)
     # Evaluates under the default --max-atoms; takes no flag for it.
-    _add_options(p, _LOAD + ("--max-iters", "--max-depth"))
+    _add_options(p, _LOAD + ("--max-depth",))
 
     p = sub.add_parser("strata", help="print the stratification")
     p.add_argument("programs", nargs="+", metavar="PROGRAM")
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("upper", metavar="UPPER")
     p.add_argument("lower", metavar="LOWER")
     # No --meta: the builtin rules would land in both components.
-    _add_options(p, ("--facts", "--wrap", "--exclude-wrap", "--max-atoms", "--max-iters"))
+    _add_options(p, ("--facts", "--wrap", "--exclude-wrap", "--max-atoms"))
     p.set_defaults(meta=False)
     p.add_argument("--verify-union", action="store_true",
                    help="also evaluate the union program and require agreement")

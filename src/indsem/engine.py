@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import count, takewhile
+from itertools import takewhile
 from typing import Iterator, Optional
 
 from .depgraph import stratify_templates
@@ -42,14 +42,13 @@ from .terms import (
 )
 
 DEFAULT_MAX_ATOMS = 1_000_000
-DEFAULT_MAX_ITERS = 10_000
 DEFAULT_MAX_DEPTH = 10_000
 
 
 @dataclass(frozen=True)
 class Limits:
+    """Caps on derived atoms (a stratum runs at most one round more than it adds) and depth."""
     max_atoms: int = DEFAULT_MAX_ATOMS
-    max_iters: int = DEFAULT_MAX_ITERS
     max_depth: int = DEFAULT_MAX_DEPTH
 
 
@@ -221,19 +220,14 @@ def _iterate(program: Program, limits: Limits, why: dict, index: _Index) -> None
     """Rounds adding to the index until one adds no atom: the first fires every
     instance, each later one only those using an atom new in the one before."""
     plan, current, delta = _Plan(program, index), index.atoms, None
-    for iters in count(1):
-        # Negation reads the growing set, exactly: depgraph puts unifiable heads
-        # in one component and no negative edge inside one, so nothing derived
-        # here matches a negated literal.  A wrapped global apply_T sees each round.
-        delta = apply_T(program, current, current, delta, why, plan)
-        if not delta:
-            return
+    # Negation reads the growing set, exactly: depgraph puts unifiable heads in
+    # one component and no negative edge inside one, so nothing derived here
+    # matches a negated literal.  A wrapped global apply_T sees each round.
+    while delta := apply_T(program, current, current, delta, why, plan):
         index.add(delta)
-        for used, cap, what in ((len(current), limits.max_atoms, "derived-atom"),
-                                (iters, limits.max_iters, "iteration")):
-            if used > cap:
-                raise ResourceLimitError(f"{what} cap exceeded ({cap}); not converged",
-                                         partial=frozenset(current))
+        if len(current) > limits.max_atoms:  # each round adds, so this caps the rounds too
+            raise ResourceLimitError(f"derived-atom cap exceeded ({limits.max_atoms}); "
+                                     "not converged", partial=frozenset(current))
 
 
 def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) -> ModelSet:

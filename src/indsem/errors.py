@@ -86,9 +86,5 @@ class FunctorCollisionError(IndsemError):
     pass
 
 
-class UnsupportedFeatureError(IndsemError):
-    pass
-
-
 class UniverseTooLargeError(IndsemError):
     pass

@@ -8,11 +8,7 @@ is deliberately not available.
 
 from __future__ import annotations
 
-from .errors import (
-    FunctorCollisionError,
-    NegationInObjectProgramError,
-    UnsupportedFeatureError,
-)
+from .errors import FunctorCollisionError, NegationInObjectProgramError
 from .parser import Program, RuleTemplate, parse_program
 from .terms import Compound, Term, functors_of
 
@@ -26,12 +22,8 @@ true.
 _CALL_TEXT = "call(X) :- X.\n"
 
 
-def builtin_rules(include_negation_metarule: bool = False) -> Program:
+def builtin_rules() -> Program:
     """The two body-semantics templates; never auto-included by the engine."""
-    if include_negation_metarule:
-        raise UnsupportedFeatureError(
-            "not(X) :- not(X). is not stratifiable and is not supported"
-        )
     return parse_program(_BUILTIN_TEXT, "<builtin>")
 
 

@@ -22,7 +22,7 @@ from indsem import components, engine, justify, meta, oracle
 from indsem.engine import dump_model, least_fixpoint
 from indsem.errors import CompositionPreconditionError, UnstratifiableError
 from indsem.parser import Program, parse_paramset, parse_program, parse_term
-from indsem.terms import Compound, sort_key, unifiable
+from indsem.terms import Compound, Var, sort_key, term_to_str, unifiable
 
 TC_TEXT = "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n"
 
@@ -209,14 +209,46 @@ def test_09_satisfaction():
     print("criterion 9 (model satisfaction and mutations): pass")
 
 
+def _answer_texts(program, atoms):
+    """The answers to one nonground goal per head predicate, as text."""
+    sigs = sorted({(t.head.functor, len(t.head.args))
+                   for t in program.templates if isinstance(t.head, Compound)})
+    goals = [Compound(f, tuple(Var(f"X{i}") for i in range(n))) for f, n in sigs]
+    return [[sorted((v, term_to_str(t)) for v, t in s.items()) for s in engine.answers(atoms, g)]
+            for g in goals]
+
+
+def _explained(program, params, goals):
+    """explain of each goal: its text where the bottom-up path answers, else
+    whether it is derivable, with every justification checked by verify."""
+    out, finite = [], justify._finite(program)
+    for goal in goals:
+        j = justify.prove(program, params, goal)
+        if finite:
+            out.append(j and justify.format_justification(j))
+        else:
+            assert j is None or justify.verify(program, params, j), goal
+            out.append(j is not None)
+    return out
+
+
 def test_10_deterministic_dumps():
     for path in corpus_paths():
         program, params = load_case(path)
-        reference = dump_model(least_fixpoint(program, params).atoms)
+        atoms = least_fixpoint(program, params).atoms
+        reference = dump_model(atoms)
+        answers = _answer_texts(program, atoms)
+        underivable = sorted(head_candidates(program, params, atoms) - atoms, key=sort_key)[:3]
+        goals = sorted(atoms, key=sort_key) + underivable
+        explained = _explained(program, params, goals)
         rng = random.Random(10)
-        for _ in range(20):
+        for k in range(20):
             templates = list(program.templates)
             rng.shuffle(templates)
             permuted = Program(tuple(templates))
-            assert dump_model(least_fixpoint(permuted, params).atoms) == reference
-    print("criterion 10 (deterministic dumps): pass")
+            model = least_fixpoint(permuted, params).atoms
+            assert dump_model(model) == reference
+            assert _answer_texts(permuted, model) == answers, path.stem
+            if k < 3:
+                assert _explained(permuted, params, goals) == explained, path.stem
+    print("criterion 10 (deterministic dumps, answers and justifications): pass")

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including exit codes and output formats."""
 
+import argparse
 import io
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from conftest import CORPUS, META, PAIRS
 import indsem
 from indsem import engine
-from indsem.cli import main
+from indsem.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -87,6 +88,16 @@ def test_resource_limit_is_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "model", str(growing), "--max-atoms", "10")
     assert code == 3
     assert "not converged" in err
+
+
+def test_finite_model_of_more_than_10000_rounds_is_exit_0(capsys, tmp_path):
+    chain = tmp_path / "chain.ind"
+    chain.write_text("p0.\n" + "".join(f"p{k} :- p{k - 1}.\n" for k in range(1, 10_500)))
+    code, out, _ = run(capsys, "model", str(chain))
+    assert code == 0 and out.count("\n") == 10_500
+    assert run(capsys, "query", str(chain), "-q", "p5") == (0, "true.\n", "")
+    code, out, _ = run(capsys, "explain", str(chain), "-q", "p5")
+    assert code == 0 and out.endswith(f"6. p5  :- p4  ({chain}:6)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +335,28 @@ def test_unread_option_is_exit_2(command, option):
     with pytest.raises(SystemExit) as exc:
         main(argv + [option, "1"])
     assert exc.value.code == 2
+
+
+def _readme_option_table():
+    """README's subcommand/flag table, each cell as the set of names in it."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    rows = [[{n.strip(" `") for n in cell.split(",")} - {""} for cell in line.split("|")[1:-1]]
+            for line in lines if line.startswith("| ") and "`" in line]
+    assert rows and rows[0][0] == {"subcommand"}
+    return rows[0], rows[1:]
+
+
+def test_readme_option_table_matches_the_parser():
+    header, rows = _readme_option_table()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [name for (name,), *_ in rows] == list(sub.choices)
+    everywhere = {"-h", "--wrap", "--exclude-wrap"}
+    for (command,), *cells, other in rows:
+        taken = {a.option_strings[0] for a in sub.choices[command]._actions if a.option_strings}
+        assert everywhere <= taken, command
+        assert all(cell <= {"yes"} for cell in cells), command
+        columns = {flag for (flag,), cell in zip(header[1:-1], cells) if cell}
+        assert columns | other == taken - everywhere, command
 
 
 def test_deep_terms_are_exit_3(capsys, monkeypatch, tmp_path):

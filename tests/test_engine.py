@@ -152,11 +152,14 @@ def test_atom_cap():
     assert len(err.value.partial) > 10
 
 
-def test_iteration_cap():
-    chain = parse_program("c.\nb :- c.\na :- b.\n")
-    with pytest.raises(ResourceLimitError):
-        least_fixpoint(chain, frozenset(), Limits(max_iters=1))
-    assert least_fixpoint(chain, frozenset(), Limits(max_iters=10)).atoms == _atoms("a b c")
+def test_long_chain_is_bounded_by_atoms_not_rounds():
+    # One stratum of 10,500 rounds, one new atom each: only the atom cap ends it.
+    chain = parse_program("p0.\n" + "".join(f"p{k} :- p{k - 1}.\n" for k in range(1, 10_500)))
+    assert least_fixpoint(chain, frozenset()).atoms == frozenset(
+        parse_term(f"p{k}") for k in range(10_500))
+    with pytest.raises(ResourceLimitError) as err:
+        least_fixpoint(chain, frozenset(), Limits(max_atoms=100))
+    assert len(err.value.partial) == 101
 
 
 # ---------------------------------------------------------------------------

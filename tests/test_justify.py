@@ -451,6 +451,25 @@ def test_verify_of_an_infinite_program_with_negation():
     ]
 
 
+def test_verify_of_a_negated_chain_of_more_than_10000_rounds():
+    # prove splits the chain into one stratum per rule; _negation_support
+    # keeps it as one stratum of 10,500 rounds.
+    prog = parse_program("q0.\n" + "".join(f"q{k} :- q{k - 1}.\n" for k in range(1, 10_500))
+                         + "p :- not(r).\nr :- q10499, s.\n")
+    j = prove(prog, frozenset(), parse_term("p"))
+    assert j is not None and verify_report(prog, frozenset(), j) == []
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="verify_report evaluates the infinite ev/1 in full (ROADMAP item 8)")
+def test_verify_of_an_infinite_negated_predicate():
+    prog = parse_program("nat(z).\nnat(s(X)) :- nat(X).\nev(z).\nev(s(s(X))) :- ev(X).\n"
+                         "odd(X) :- nat(X), not(ev(X)).\n")
+    j = prove(prog, frozenset(), parse_term("odd(s(z))"))
+    assert j is not None
+    assert verify_report(prog, frozenset(), j) == []
+
+
 def test_verify_rejects_non_instances():
     j = Justification((
         (parse_term("edge(1,2)"), ParamWitness()),

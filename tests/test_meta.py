@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from indsem import engine, justify, meta
-from indsem.errors import (
-    FunctorCollisionError,
-    NegationInObjectProgramError,
-    UnsupportedFeatureError,
-)
+from indsem.errors import FunctorCollisionError, NegationInObjectProgramError
 from indsem.meta import (
     assemble_meta,
     builtin_rules,
@@ -66,11 +62,6 @@ def test_builtin_rules_content():
     assert len(prog.templates) == 2
     assert prog.templates[0].head == atom("true")
     assert prog.templates[1].head.functor == ","
-
-
-def test_negation_metarule_refused():
-    with pytest.raises(UnsupportedFeatureError):
-        builtin_rules(include_negation_metarule=True)
 
 
 def test_conjunction_derivable_through_builtins():
