@@ -23,6 +23,12 @@ def _name_arity(text: str) -> tuple[str, int]:
     return name, int(arity)
 
 
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 _OPTIONS = {
     "--facts": dict(action="append", default=[], metavar="FILE",
                     help="parameter-set file (repeatable; union)"),
@@ -36,8 +42,8 @@ _OPTIONS = {
     "--meta": dict(action="store_true",
                    help="include builtin rules, call/1, and clause/2 facts "
                         "synthesized from #object clauses"),
-    "--max-atoms": dict(type=int, default=engine.DEFAULT_MAX_ATOMS),
-    "--max-depth": dict(type=int, default=engine.DEFAULT_MAX_DEPTH),
+    "--max-atoms": dict(type=_positive, default=engine.DEFAULT_MAX_ATOMS),
+    "--max-depth": dict(type=_positive, default=engine.DEFAULT_MAX_DEPTH),
 }
 _LOAD = ("--facts", "--wrap", "--exclude-wrap", "--meta")
 _EVALUATE = _LOAD + ("--max-atoms",)

@@ -47,7 +47,8 @@ DEFAULT_MAX_DEPTH = 10_000
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps on derived atoms (a stratum runs at most one round more than it adds) and depth."""
+    """Caps on derived atoms (a stratum runs at most one round more than it adds),
+    and on the depth of tabled calls and the passes of a growing answer table."""
     max_atoms: int = DEFAULT_MAX_ATOMS
     max_depth: int = DEFAULT_MAX_DEPTH
 

@@ -229,27 +229,24 @@ class _Tables:
         return self.why[a]
 
 
-def _sequence(goal: Term, witness, max_depth: int) -> Justification:
-    """Steps for goal: each atom after the body atoms (in canonical order) of
-    witness(atom), None for a parameter; at most max_depth high.  Recursion
-    stays out of C functions such as max(), so deep DAGs spare the C stack."""
-    steps: list[tuple[Term, Witness]] = []
-    height: dict = {}
-    too_deep = ResourceLimitError(f"proof depth cap exceeded ({max_depth})")
+def _sequence(goal: Term, witness) -> Justification:
+    """Steps for goal: each atom once, after the body atoms (in canonical
+    order) of witness(atom), None for a parameter.  The walk keeps its own
+    stack, so a justification of any height is built."""
+    def frame(a: Term) -> tuple:
+        w = witness(a)
+        return a, w, iter(sorted(w.body, key=sort_key) if w is not None else ())
 
-    def emit(a: Term, depth: int) -> int:
-        if depth > max_depth:
-            raise too_deep
-        if a not in height:
-            height[a] = 1  # set first, so a cyclic table ends the recursion
-            w = witness(a)
-            for b in sorted(w.body, key=sort_key) if w is not None else ():
-                height[a] = max(height[a], 1 + emit(b, depth + 1))
+    steps, seen, stack = [], {goal}, [frame(goal)]
+    while stack:
+        a, w, body = stack[-1]
+        b = next((b for b in body if b not in seen), None)
+        if b is None:
+            stack.pop()
             steps.append((a, ParamWitness() if w is None else w))
-        return height[a]
-
-    if emit(goal, 1) > max_depth:
-        raise too_deep
+        else:
+            seen.add(b)  # when first reached, so a cyclic table ends the walk
+            stack.append(frame(b))
     return Justification(tuple(steps))
 
 
@@ -257,39 +254,35 @@ def prove(
     program: Program, params, goal: Term, limits: Optional[engine.Limits] = None
 ) -> Optional[Justification]:
     """A justification ending in the goal, or None when the goal is not in
-    the defined set.  Programs that fail `_finite` go to tabled resolution,
-    which ends on a limit (ResourceLimitError) only when a chain of calls
-    keeps building new call variants deeper than limits.max_depth, or when
-    an answer table keeps growing for more than limits.max_depth passes.
-    The growth check (see the module docstring) is its one known gap: under
-    H :- w(H). w(w(w(a))). f(s(X)) :- f(X). it misses w(w(a)), w(a), a."""
+    the defined set; no justification's height is limited.  `_finite`
+    programs are evaluated bottom-up under limits.max_atoms.  The others go
+    to tabled resolution, which ends on a limit (ResourceLimitError) only
+    when a chain of calls keeps building new call variants deeper than
+    limits.max_depth, or when an answer table keeps growing for more than
+    limits.max_depth passes.  The growth check (see the module docstring) is
+    its one known gap: under H :- w(H). w(w(w(a))). f(s(X)) :- f(X). it
+    misses w(w(a)), w(a), a."""
     if isinstance(goal, Compound) and goal.functor == "not" and len(goal.args) == 1:
         raise NegativeGoalError(f"cannot prove a negation: {term_to_str(goal)}")
     if not is_ground(goal):
         raise IndsemError(f"prove requires a ground goal, got {term_to_str(goal)}")
     limits = limits or engine.Limits()
     params = frozenset(params)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 20 * limits.max_depth + 10_000))
+    if _finite(program):
+        try:
+            model = engine.least_fixpoint(program, params, limits)
+        except (errors.UncallableLiteralError, errors.VariableHeadRestrictionError,
+                errors.NonGroundHeadError, errors.NonGroundNegationError):
+            pass  # not evaluable bottom-up after all
+        else:
+            return _sequence(goal, model.why.get) if goal in model.atoms else None
+    if any(t.neg_body for t in program.templates):
+        stratify_templates(program.templates)  # reject unstratifiable programs
+    old_limit = sys.getrecursionlimit()  # raised for tabled calls, within a C int
+    sys.setrecursionlimit(min(max(old_limit, 20 * limits.max_depth + 10_000), 2**31 - 1))
     try:
-        if _finite(program):
-            try:
-                model = engine.least_fixpoint(program, params, limits)
-            except (
-                errors.UncallableLiteralError,
-                errors.VariableHeadRestrictionError,
-                errors.NonGroundHeadError,
-                errors.NonGroundNegationError,
-            ):
-                pass  # not evaluable bottom-up after all
-            else:
-                found = goal in model.atoms
-                return _sequence(goal, model.why.get, limits.max_depth) if found else None
-        if any(t.neg_body for t in program.templates):
-            stratify_templates(program.templates)  # reject unstratifiable programs
         tables = _Tables(program, params, limits)
-        found = tables.solve(goal)
-        return _sequence(goal, tables.witness, limits.max_depth) if found else None
+        return _sequence(goal, tables.witness) if tables.solve(goal) else None
     finally:
         sys.setrecursionlimit(old_limit)
 

@@ -98,6 +98,25 @@ def test_finite_model_of_more_than_10000_rounds_is_exit_0(capsys, tmp_path):
     assert run(capsys, "query", str(chain), "-q", "p5") == (0, "true.\n", "")
     code, out, _ = run(capsys, "explain", str(chain), "-q", "p5")
     assert code == 0 and out.endswith(f"6. p5  :- p4  ({chain}:6)\n")
+    # No justification's height is limited, whatever --max-depth says.
+    code, out, _ = run(capsys, "explain", str(chain), "-q", "p10499")
+    assert code == 0 and out.count("\n") == 10_500
+    shorter = run(capsys, "explain", str(chain), "-q", "p10000", "--max-depth", "5")
+    assert shorter == (0, "".join(out.splitlines(keepends=True)[:10_001]), "")
+
+
+def test_limit_flags_take_positive_integers_only(capsys):
+    argv = ["explain", str(META / "meta_tc.ind"), "--meta", "-q", "tc(1,3)"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    # A recursion limit this high would not fit a C int.
+    assert run(capsys, *argv, "--max-depth", "200000000") == (code, out, err)
+    for argv in (["model", _p("chain.ind"), "--max-atoms", "0"],
+                 ["explain", _p("chain.ind"), "-q", "a", "--max-depth", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from pathlib import Path
 from conftest import CORPUS, META, head_candidates
 from indsem import engine, meta
 from indsem.cli import main
-from indsem.errors import IndsemError
 from indsem.parser import Program, parse_paramset, parse_program
 from indsem.terms import Compound, Var, sort_key, term_to_str
 
@@ -50,11 +49,8 @@ def _goals(path, options):
     if "--meta" in options:
         # By the metainterpreter's adequacy, the object program's model.
         program = Program(program.object_templates)
-    try:
-        atoms = engine.least_fixpoint(program, params).atoms
-        underivable = sorted(head_candidates(program, params, atoms) - atoms, key=sort_key)[:3]
-    except IndsemError:
-        return queries, []
+    atoms = engine.least_fixpoint(program, params).atoms
+    underivable = sorted(head_candidates(program, params, atoms) - atoms, key=sort_key)[:3]
     return queries, sorted(atoms, key=sort_key)[:40] + underivable
 
 
