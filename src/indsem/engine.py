@@ -1,20 +1,21 @@
 """Bottom-up evaluation: the one-step consequence operator and its fixpoint.
 
 Templates are grounded on demand by join plans compiled once per stratum:
-positive body literals are looked up left to right in one index of the
-growing atom set (derived atoms plus parameters), keyed on the subterms the
-literals before them bind; negative conditions are tested against the
-parameter set, and the head must be ground.  After the first round, an
-instance fires only if some body literal matches an atom new since the round
-before (semi-naive evaluation); the instance that first derives an atom is its
-witness.  Strata grow that one set bottom-up, each reading it as parameters.
+positive body literals are looked up in one index of the growing atom set
+(derived atoms plus parameters), each keyed on the subterms the literals
+before it bind; negative conditions are tested against the parameter set, and
+the head must be ground.  After the first round, an instance fires only if
+some body literal matches an atom new since the round before (semi-naive
+evaluation): each such position is joined first, against those new atoms
+alone, and the other literals after it.  The instance that first derives an
+atom is its witness.  Strata grow that one set bottom-up, each reading it as
+parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import takewhile
 from typing import Iterator, Optional
 
 from .depgraph import stratify_templates
@@ -33,7 +34,6 @@ from .terms import (
     Term,
     Var,
     apply_subst,
-    functor_index,
     is_ground,
     match,
     sort_key,
@@ -113,58 +113,78 @@ def _keyed(term, bound, path=()):
             yield from _keyed(a, bound, (*path, j))
 
 
+def _steps(lits) -> tuple:
+    """A join over lits in the order given.  Per literal: a membership test
+    if the literals before it bind all its variables, else its functor/arity,
+    the paths to its maximal bound subterms with those subterms (the key) and
+    its other arguments by position (the binder)."""
+    bound, steps = set(), []
+    for lit in lits:
+        if isinstance(lit, Var) or set(variables_of(lit)) <= bound:
+            steps.append((lit, None, (), (), ()))
+        else:
+            key = dict(_keyed(lit, bound))
+            free = [(j, a) for j, a in enumerate(lit.args) if (j,) not in key]
+            steps.append((lit, (lit.functor, len(lit.args)), tuple(key), key.values(), free))
+        bound.update(variables_of(lit))
+    return tuple(steps)
+
+
 class _Plan:
-    """A stratum's templates compiled once per call over the index.  Per body
-    literal, left to right: a membership test if the literals before it bind
-    all its variables, else its functor/arity, the paths to its maximal bound
-    subterms with those subterms (the key) and its other arguments by position
-    (the binder).  A round visits the body positions delta can match."""
+    """A stratum's templates compiled once per call over the index: per
+    template, the join of the first round in written order, and per positive
+    body position d the join of a later round, with the step that reads delta.
+    That join takes literal d first, unless some body literal is a variable:
+    such a template keeps the written order, so an unbound literal fails where
+    it is written.  A round visits the body positions delta can match."""
 
     def __init__(self, program: Program, index: _Index):
         self.index, self.compiled, self.pairs = index, [], []
         for k, t in enumerate(program.templates):
-            bound, steps = set(), []
-            for i, lit in enumerate(t.pos_body):
-                self.pairs.append((k, i, lit))
-                if isinstance(lit, Var) or set(variables_of(lit)) <= bound:
-                    steps.append((lit, None, (), (), ()))
-                else:
-                    key = dict(_keyed(lit, bound))
-                    free = [(j, a) for j, a in enumerate(lit.args) if (j,) not in key]
-                    steps.append((lit, (lit.functor, len(lit.args)), tuple(key), key.values(), free))
-                bound.update(variables_of(lit))
-            self.compiled.append((t, steps))
-        self.candidates = functor_index([lit for _, _, lit in self.pairs])
+            lits = t.pos_body
+            written = _steps(lits)
+            if any(isinstance(lit, Var) for lit in lits):
+                per_d = [(written, d) for d in range(len(lits))]
+            else:
+                per_d = [(_steps((lits[d], *lits[:d], *lits[d + 1:])), 0) for d in range(len(lits))]
+            self.compiled.append((t, (written, -1), per_d))
+            self.pairs.extend((k, d, lit) for d, lit in enumerate(lits))
+        self.at = {}  # functor/arity -> positions of pairs; None -> variable literals
+        for j, (_, _, lit) in enumerate(self.pairs):
+            self.at.setdefault(None if isinstance(lit, Var) else (lit.functor, len(lit.args)), []).append(j)
 
     def passes(self, delta):
+        """(template, delta position) pairs of a round: with delta None (the
+        first round) every template once, else the positions whose literal
+        shares a functor/arity with delta (an _Index, grouped by it)."""
         if delta is None:
             return [(k, None) for k in range(len(self.compiled))]
-        one_per_sig = {(a.functor, len(a.args)): a for a in delta}.values()
-        found = {j for a in one_per_sig for j in self.candidates(a)}
+        sigs = (None, *delta.tables) if delta.tables else ()
+        found = {j for sig in sigs for j in self.at.get(sig, ())}
         return [self.pairs[j][:2] for j in sorted(found)]
 
 
 def fired_instances(program: Program, params, current, delta=None, plan=None) -> Iterator[GroundRule]:
     """Ground instances firing against `current` with parameter set `params`;
-    with `delta` (a subset of `current`), only those using an atom of delta.
-    `plan` compiles the program over an index of both, delta added last."""
+    with `delta` (a subset of `current`), only those using an atom of delta,
+    once per body position holding one.  `plan` compiles the program over an
+    index of both."""
     if plan is None:
-        plan = _Plan(program, _Index((current | params) - (delta or frozenset())))
-        plan.index.add(delta or ())
+        plan = _Plan(program, _Index(current | params))
+    news = None if delta is None else _Index(delta)  # delta grouped by functor/arity once
 
-    def join(i, s, matched):  # this pass's literal d against delta, the rest against all
+    def join(i, s, matched):  # step `reads` against delta, the others against all
         lit, sig, paths, parts, free = steps[i]
+        index = news if i == reads else plan.index
         if sig is None:
             a = apply_subst(lit, s)
             if isinstance(a, Var):
                 raise UncallableLiteralError(
                     f"{t.loc}: body literal {lit.name} is unbound when reached"
                 )
-            bucket = [a] if a in plan.index.atoms else ()
+            bucket = [a] if a in index.atoms else ()
         else:
-            bucket = plan.index.lookup(sig, paths, tuple([apply_subst(p, s) for p in parts]))
-        if i == d:  # delta's atoms end the bucket
-            bucket = list(takewhile(delta.__contains__, reversed(bucket)))
+            bucket = index.lookup(sig, paths, tuple([apply_subst(p, s) for p in parts]))
         for a in bucket:
             s2 = dict(s)  # bind the free arguments; nested ones by match
             for j, p in free:
@@ -177,8 +197,9 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
                 m = matched + (a,)
                 yield from join(i + 1, s2, m) if i + 1 < len(steps) else ((s2, m),)
 
-    for k, d in plan.passes(delta):
-        t, steps = plan.compiled[k]
+    for k, d in plan.passes(news):
+        t, first, per_d = plan.compiled[k]
+        steps, reads = first if d is None else per_d[d]
         for s, matched in join(0, {}, ()) if steps else [({}, ())]:
             negs = [apply_subst(n, s) for n in t.neg_body]
             bad = [n for n in negs if not is_ground(n)]
