@@ -8,6 +8,7 @@ error, 3 resource limit exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import components, engine, justify, meta, oracle
@@ -54,7 +55,10 @@ def _add_options(p: argparse.ArgumentParser, flags) -> None:
         p.add_argument(flag, **_OPTIONS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args reads it without changing it
+    (append actions extend a copy of their default)."""
     ap = argparse.ArgumentParser(
         prog="indsem",
         description="Evaluate logic programs as parameterized inductive definitions.",

@@ -134,9 +134,12 @@ class _Plan:
     """A stratum's templates compiled once per call over the index: per
     template, the join of the first round in written order, and per positive
     body position d the join of a later round, with the step that reads delta.
-    That join takes literal d first, unless some body literal is a variable:
-    such a template keeps the written order, so an unbound literal fails where
-    it is written.  A round visits the body positions delta can match."""
+    That join takes literal d first, then the literals before it nearest first
+    and the ones after it in order: a body written so that each literal is
+    bound by those before it (as the demand rewrite writes them) is then
+    joined along the same chain, each lookup keyed.  A template with a
+    variable body literal keeps the written order, so an unbound literal fails
+    where it is written.  A round visits the body positions delta can match."""
 
     def __init__(self, program: Program, index: _Index):
         self.index, self.compiled, self.pairs = index, [], []
@@ -146,7 +149,7 @@ class _Plan:
             if any(isinstance(lit, Var) for lit in lits):
                 per_d = [(written, d) for d in range(len(lits))]
             else:
-                per_d = [(_steps((lits[d], *lits[:d], *lits[d + 1:])), 0) for d in range(len(lits))]
+                per_d = [(_steps((*lits[d::-1], *lits[d + 1:])), 0) for d in range(len(lits))]
             self.compiled.append((t, (written, -1), per_d))
             self.pairs.extend((k, d, lit) for d, lit in enumerate(lits))
         self.at = {}  # functor/arity -> positions of pairs; None -> variable literals
@@ -219,13 +222,15 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
             yield GroundRule(head, frozenset(matched), frozenset(negs), t.loc)
 
 
-def apply_T(program: Program, params, current, delta=None, why=None, plan=None) -> set:
-    """One step's increment: the heads of firing instances not in `current`.
-    With `delta`, only instances using an atom of delta fire; `why` receives
-    each such head's canonically least instance, which set order cannot change."""
+def apply_T(program: Program, params, current, delta=None, why=None, plan=None,
+            within=None) -> set:
+    """One step's increment: the heads of firing instances not in `current`
+    (and in `within`, if given).  With `delta`, only instances using an atom
+    of delta fire; `why` receives each such head's canonically least
+    instance, which set order cannot change."""
     out = set()
     for inst in fired_instances(program, params, current, delta, plan):
-        if inst.head not in current:
+        if inst.head not in current and (within is None or inst.head in within):
             out.add(inst.head)
             if why is not None:
                 first = why.setdefault(inst.head, inst)
@@ -238,18 +243,26 @@ def _canonical(r: GroundRule):
     return sorted(map(sort_key, r.body)), sorted(map(sort_key, r.negs)), str(r.loc)
 
 
-def _iterate(program: Program, limits: Limits, why: dict, index: _Index) -> None:
+def _iterate(program: Program, limits: Limits, why: dict, index: _Index, within) -> None:
     """Rounds adding to the index until one adds no atom: the first fires every
     instance, each later one only those using an atom new in the one before."""
     plan, current, delta = _Plan(program, index), index.atoms, None
     # Negation reads the growing set, exactly: depgraph puts unifiable heads in
     # one component and no negative edge inside one, so nothing derived here
     # matches a negated literal.  A wrapped global apply_T sees each round.
-    while delta := apply_T(program, current, current, delta, why, plan):
+    while delta := apply_T(program, current, current, delta, why, plan, within):
         index.add(delta)
         if len(current) > limits.max_atoms:  # each round adds, so this caps the rounds too
             raise ResourceLimitError(f"derived-atom cap exceeded ({limits.max_atoms}); "
                                      "not converged", partial=frozenset(current))
+
+
+def strata(program: Program) -> tuple:
+    """The program's templates in strata, bottom-up: one stratum without
+    negation, else those of depgraph (UnstratifiableError if none exist)."""
+    if any(t.neg_body for t in program.templates):
+        return stratify_templates(program.templates).strata
+    return (program.templates,)
 
 
 def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) -> ModelSet:
@@ -258,7 +271,6 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
     Allowability of the parameter set is the caller's obligation (see
     components.check_allowable).
     """
-    limits = limits or Limits()
     negation = any(t.neg_body for t in program.templates)
     if (params or negation) and any(isinstance(t.head, Var) for t in program.templates):
         # A bare-variable head makes the head region all of the universe:
@@ -268,10 +280,20 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
             "variable-head programs require an empty parameter set" if params
             else "variable-head programs cannot use negation"
         )
-    strata = stratify_templates(program.templates).strata if negation else (program.templates,)
+    return evaluate(strata(program), params, limits)
+
+
+def evaluate(strata, params, limits: Optional[Limits] = None, within=None) -> ModelSet:
+    """The strata evaluated in order over one growing set from the parameters.
+    With `within`, only its atoms are derived: every other head is dropped
+    where it fires.  The atoms kept have the rounds and witnesses of the
+    whole evaluation when every instance deriving one of them has its body
+    in `within` or the parameters, and `within` holds every true atom that a
+    negative condition reads."""
+    limits = limits or Limits()
     index, why = _Index(params), {}
     for stratum in strata:
-        _iterate(Program(stratum), limits, why, index)
+        _iterate(Program(stratum), limits, why, index, within)
     return ModelSet(frozenset(index.atoms), why)
 
 

@@ -3,8 +3,14 @@
 A justification is a finite sequence of propositions, each witnessed either
 by parameter membership or by a fired ground rule whose body appears earlier
 in the sequence.  Programs with finite models (see _finite) are evaluated
-once bottom-up, and each atom is witnessed by the rule instance that first
-derived it.  The others (metaprograms) go to tabled resolution by call
+bottom-up, and each atom is witnessed by the rule instance that first
+derived it.  Only what the goal depends on is evaluated: the demand rewrite
+(see demand.py) finds the true atoms the goal demands, and the program's own
+strata derive those again, so each keeps the round and the witness that the
+whole evaluation gives it.  Where the rewrite does not apply, or its demand
+is infinite, the whole model is evaluated.  The checker reads the negated
+atoms of a justification in the same way, and never calls the prover.  The
+other programs (metaprograms) go to tabled resolution by call
 variant: each call, ground or not, owns a table of answers; a call already
 evaluated in the current pass reads its answers so far, and passes repeat
 until the tables read stop growing, so the answer depends on neither clause
@@ -22,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import engine, errors
+from . import demand, engine, errors
 from .depgraph import recursive_rules, stratify_templates
 from .errors import (
     IndsemError,
@@ -44,7 +50,6 @@ from .terms import (
     resolve,
     sort_key,
     term_to_str,
-    unifiable,
     unify,
     variables_of,
 )
@@ -250,12 +255,49 @@ def _sequence(goal: Term, witness) -> Justification:
     return Justification(tuple(steps))
 
 
+def _demanded(program: Program, params, goals, limits: engine.Limits):
+    """The rewrite of the goals' demand and the least model of the rewritten
+    program, whose atoms include every true atom demanded and no false one;
+    None when the rewrite does not apply, builds an infinite demand (fails
+    _finite) or is not stratified."""
+    rewritten = demand.rewrite(program, goals)
+    if rewritten is None or not _finite(rewritten.program):
+        return None
+    try:
+        return rewritten, engine.least_fixpoint(rewritten.program, params | rewritten.seeds,
+                                                limits).atoms
+    except errors.UnstratifiableError:
+        return None
+
+
+def _goal_model(program: Program, params, goal: Term, limits: engine.Limits):
+    """The part of the least model that goal depends on, with the witnesses
+    and rounds the whole evaluation gives them, or None when the demand
+    rewrite does not apply.  The demanded true atoms are evaluated again by
+    the program's own strata, restricted to the templates goal depends on:
+    every instance deriving such an atom has its body among them or the
+    parameters, and what negative conditions read is kept whole."""
+    strata = engine.strata(program)  # UnstratifiableError for the program itself
+    found = _demanded(program, params, [goal], limits)
+    if found is None:
+        return None
+    rewritten, true = found
+    if goal not in true:
+        return engine.ModelSet(frozenset())
+    keep = {id(program.templates[k]) for k in rewritten.relevant}
+    strata = [[t for t in stratum if id(t) in keep] for stratum in strata]
+    return engine.evaluate(strata, params, limits, within=true)
+
+
 def prove(
     program: Program, params, goal: Term, limits: Optional[engine.Limits] = None
 ) -> Optional[Justification]:
     """A justification ending in the goal, or None when the goal is not in
     the defined set; no justification's height is limited.  `_finite`
-    programs are evaluated bottom-up under limits.max_atoms.  The others go
+    programs are evaluated bottom-up under limits.max_atoms: the templates
+    the goal depends on, under its demand, or, where the demand rewrite does
+    not apply (variable heads or body literals, a demand functor already
+    used) or builds an infinite demand, the whole program.  The others go
     to tabled resolution, which ends on a limit (ResourceLimitError) only
     when a chain of calls keeps building new call variants deeper than
     limits.max_depth, or when an answer table keeps growing for more than
@@ -270,7 +312,8 @@ def prove(
     params = frozenset(params)
     if _finite(program):
         try:
-            model = engine.least_fixpoint(program, params, limits)
+            model = (_goal_model(program, params, goal, limits)
+                     or engine.least_fixpoint(program, params, limits))
         except (errors.UncallableLiteralError, errors.VariableHeadRestrictionError,
                 errors.NonGroundHeadError, errors.NonGroundNegationError):
             pass  # not evaluable bottom-up after all
@@ -320,24 +363,22 @@ def _is_ground_instance(t: RuleTemplate, head, body, negs) -> bool:
     return False
 
 
-def _negation_support(templates, candidates) -> Program:
-    """The templates whose heads unify with some negated literal, closed
-    downward along the dependency edges: all that negative conditions read,
-    even when the whole model is infinite."""
-    keep, todo = set(), [n for t in templates for n in t.neg_body]
-    while todo:
-        lit = todo.pop()
-        for k in candidates(lit):
-            if k not in keep and unifiable(lit, templates[k].head):
-                keep.add(k)
-                todo.extend(templates[k].pos_body + templates[k].neg_body)
-    return Program(tuple(templates[k] for k in sorted(keep)))
+def _negated_truth(program: Program, params, negs) -> frozenset:
+    """A set holding exactly those of the ground atoms negs that hold: the
+    least model under their demand, or, where that rewrite does not apply,
+    the whole model of the templates negative conditions read."""
+    found = _demanded(program, params, negs, engine.Limits())
+    if found is not None:
+        return found[1]
+    templates = program.templates
+    support = demand.depends(templates, [n for t in templates for n in t.neg_body])
+    return engine.least_fixpoint(Program(tuple(templates[k] for k in sorted(support))), params).atoms
 
 
 def verify_report(program: Program, params, j: Justification) -> list[str]:
     problems: list[str] = []
     params = frozenset(params)
-    effective = None  # parameters visible to negative conditions, per stratum
+    effective = None  # which negated atoms of the witnesses hold
     candidates = functor_index([t.head for t in program.templates])
 
     prior: set = set()
@@ -360,8 +401,9 @@ def verify_report(program: Program, params, j: Justification) -> list[str]:
                 )
             if witness.negs:
                 if effective is None:
-                    support = _negation_support(program.templates, candidates)
-                    effective = engine.least_fixpoint(support, params).atoms
+                    negs = {n for p, w in j.steps if is_ground(p) and not isinstance(w, ParamWitness)
+                            for n in w.negs if is_ground(n)}
+                    effective = _negated_truth(program, params, negs)
                 blocked = sorted(witness.negs & effective, key=sort_key)
                 if blocked:
                     problems.append(

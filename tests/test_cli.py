@@ -423,6 +423,18 @@ def test_exclude_wrap_applies_to_the_facts(capsys):
     ]
 
 
+def test_append_options_do_not_leak_between_calls(capsys):
+    # The parser is built once per process; each call starts from the defaults.
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "model", _p("tc_small.ind"), "--facts", _p("tc_small.facts"),
+                       "--wrap", "holds", "--exclude-wrap", "edge/2", "--exclude-wrap", "tc/2")
+    assert (code, out) == (0, "edge(1,2).\nedge(2,3).\ntc(1,2).\ntc(1,3).\ntc(2,3).\n")
+    code, out, _ = run(capsys, "model", _p("tc_small.ind"), "--wrap", "holds")
+    assert (code, out) == (0, "")
+    args = build_parser().parse_args(["model", _p("tc_small.ind")])
+    assert args.facts == [] and args.exclude_wrap == [("clause", 2)]
+
+
 def test_exclude_wrap_needs_name_and_arity(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["model", _p("tc_small.ind"), "--wrap", "holds", "--exclude-wrap", "edge"])
@@ -450,6 +462,16 @@ def test_explain_long_chain_top_down(capsys, tmp_path):
     code, out, _ = run(capsys, "explain", str(prog), "-q", "p1999")
     assert code == 0
     assert len(out.splitlines()) == 2000
+
+
+def test_explain_evaluates_only_what_the_goal_depends_on(capsys, tmp_path):
+    # The whole model has 1,127,250 atoms, over explain's 1,000,000-atom cap.
+    (tmp_path / "tc.ind").write_text((CORPUS / "tc_small.ind").read_text())
+    (tmp_path / "chain.facts").write_text("".join(f"edge({i},{i + 1}).\n" for i in range(1500)))
+    argv = ("explain", str(tmp_path / "tc.ind"), "--facts", str(tmp_path / "chain.facts"), "-q")
+    assert run(capsys, *argv, "tc(0,1)")[:2] == (0, "1. edge(0,1)  [param]\n2. tc(0,1)  :- edge(0,1)"
+                                                   f"  ({tmp_path / 'tc.ind'}:2)\n")
+    assert run(capsys, *argv, "tc(1500,0)") == (1, "", "no justification for tc(1500,0)\n")
 
 
 def test_check_and_model_agree_on_wrapped_allowability(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import head_candidates, meta_paths
 from test_acceptance import _answer_texts, _explained
 from test_seminaive import _case, _facts, _programs
-from indsem import engine, justify
+from indsem import demand, engine, justify
 from indsem.errors import (
     IndsemError,
     NegativeGoalError,
@@ -27,9 +27,9 @@ from indsem.justify import (
     verify,
     verify_report,
 )
-from indsem.meta import assemble_meta
+from indsem.meta import assemble_meta, wrap, wrap_atoms
 from indsem.parser import Program, parse_paramset, parse_program, parse_term
-from indsem.terms import Compound, sort_key
+from indsem.terms import Compound, apply_subst, sort_key, variables_of
 
 TC = parse_program("tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n")
 EDGES = parse_paramset("edge(1,2).\nedge(2,3).\n")
@@ -266,6 +266,122 @@ def test_deep_justification_does_not_exhaust_the_c_stack():
 
 
 # ---------------------------------------------------------------------------
+# Demand-driven evaluation
+# ---------------------------------------------------------------------------
+
+
+def _head_instances(program, data):
+    """One ground instance of each template head over the constants a and b."""
+    ab = st.sampled_from([Compound("a"), Compound("b")])
+    return {apply_subst(t.head, {v: data.draw(ab) for v in variables_of(t.head)})
+            for t in program.templates}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_programs, _facts, st.data())
+def test_demand_driven_justifications_equal_full_evaluation(rules, facts, data):
+    case = _case(rules, facts)
+    if case is None:
+        return
+    program, params, model = case
+    full = engine.least_fixpoint(program, params)
+    for goal in sorted(model | _head_instances(program, data), key=sort_key):
+        expected = (format_justification(justify._sequence(goal, full.why.get))
+                    if goal in model else None)
+        demanded = justify._goal_model(program, params, goal, engine.Limits())
+        if demanded is not None:
+            j = justify._sequence(goal, demanded.why.get) if goal in demanded.atoms else None
+            assert (j and format_justification(j)) == expected
+        j = prove(program, params, goal)
+        if goal not in model:
+            assert j is None
+            continue
+        if justify._finite(program):
+            assert format_justification(j) == expected
+        assert verify(program, params, j), verify_report(program, params, j)
+
+
+def test_demand_driven_evaluation_keeps_the_program_strata():
+    # In one stratum q :- not(p) would fire before p is derived.
+    prog = parse_program("p.\nq :- p.\nq :- not(p).\n")
+    j = justify._sequence(parse_term("q"), justify._goal_model(
+        prog, frozenset(), parse_term("q"), engine.Limits()).why.get)
+    assert format_justification(j) == "1. p  [fact]  (<string>:1)\n2. q  :- p  (<string>:2)"
+
+
+def _chain(n):
+    return parse_paramset("".join(f"edge({i},{i + 1}).\n" for i in range(n)))
+
+
+@pytest.mark.parametrize("goal", ["tc(0,1)", "tc(200,0)", "tc(0,200)"])
+@pytest.mark.parametrize("program, wrapped", [(TC, False), (LEFT_TC, False), (TC, True),
+                                              (LEFT_TC, True)],
+                         ids=["right", "left", "right-holds", "left-holds"])
+def test_a_goal_fires_instances_linear_in_the_chain(monkeypatch, program, wrapped, goal):
+    # Full evaluation fires 20,100 instances here, whatever the goal.
+    n, fired = 200, []
+    instances = engine.fired_instances
+
+    def counted(*args, **kwargs):
+        for inst in instances(*args, **kwargs):
+            fired.append(inst)
+            yield inst
+
+    monkeypatch.setattr(engine, "fired_instances", counted)
+    params, goal = _chain(n), parse_term(goal)
+    if wrapped:  # demand keeps its bound paths under the wrapper
+        program, params, goal = wrap(program, "holds"), wrap_atoms(params, "holds"), Compound("holds", (goal,))
+    j = prove(program, params, goal)
+    assert (j is None) == (goal == parse_term("tc(200,0)") or goal == parse_term("holds(tc(200,0))"))
+    assert len(fired) <= 5 * n
+    if j is not None:
+        assert fired and verify(program, params, j)
+
+
+@pytest.mark.parametrize("text, goal", [
+    # Infinite demand: p(a) demands p(f(a)), p(f(f(a))), ...
+    ("p(X) :- p(f(X)).\n", "p(a)"),
+    # Variable heads and body literals.
+    ("p(a).\nq :- p(a), X.\n", "q"),
+    ("X :- p(X).\n", "p(a)"),
+    # A demand functor already in the program.
+    ("p(X) :- q(X).\nq(a).\n'demand:p/1:0'(a).\n", "p(a)"),
+])
+def test_demand_falls_back_to_full_evaluation(text, goal):
+    program, goal = parse_program(text), parse_term(goal)
+    rewritten = demand.rewrite(program, [goal])
+    assert rewritten is None or not justify._finite(rewritten.program)
+    assert justify._goal_model(program, frozenset(), goal, engine.Limits()) is None
+
+
+@pytest.mark.parametrize("rule", ["p(X) :- q(X).", "p(f(A,B)) :- q(f(A,B))."])
+def test_demand_on_a_path_the_head_lacks_is_projected(rule):
+    # r calls p(f(Y,Z)) with Y bound: demand on the path 0.0, which p(X)
+    # reaches only through X, so p(X) is guarded by the demand on no path.
+    prog = parse_program(f"r(Y) :- s(Y), p(f(Y,Z)).\n{rule}\n")
+    params = parse_paramset("s(1).\nq(f(1,2)).\nq(f(3,4)).\n")
+    heads = {t.head.functor for t in demand.rewrite(prog, [parse_term("r(1)")]).program.templates}
+    assert "demand:p/1:0.0" in heads
+    assert ("demand:p/1:" in heads) == rule.startswith("p(X)")
+    j = prove(prog, params, parse_term("r(1)"))
+    assert [p for p, _ in j.steps] == list(map(parse_term, ["q(f(1,2))", "p(f(1,2))", "s(1)", "r(1)"]))
+    assert prove(prog, params, parse_term("r(3)")) is None
+
+
+def test_negated_support_is_evaluated_whole_and_demand_only_reaches_the_goal():
+    prog = parse_program("r(X) :- edge(X,Y), not(b(Y)).\nb(X) :- edge(X,X).\n"
+                         "p(X) :- r(X).\nq(X) :- p(X), zz(X).\n")
+    params = parse_paramset("edge(1,2).\nedge(2,2).\nedge(3,4).\n")
+    rewritten = demand.rewrite(prog, [parse_term("p(3)")])
+    assert rewritten.relevant == {0, 1, 2}  # not q/1
+    assert [t for t in rewritten.program.templates if not t.pos_body[0].functor.startswith("demand:")
+            ] == [prog.templates[1]]  # b/1, whole
+    j = prove(prog, params, parse_term("p(3)"))
+    assert [p for p, _ in j.steps] == list(map(parse_term, ["edge(3,4)", "r(3)", "p(3)"]))
+    assert prove(prog, params, parse_term("p(1)")) is None  # b(2) holds
+
+
+# ---------------------------------------------------------------------------
 # The tabled path
 # ---------------------------------------------------------------------------
 
@@ -474,9 +590,8 @@ def test_verify_of_a_negated_chain_of_more_than_10000_rounds():
     assert j is not None and verify_report(prog, frozenset(), j) == []
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="verify_report evaluates the infinite ev/1 in full (ROADMAP item 8)")
 def test_verify_of_an_infinite_negated_predicate():
+    # ev/1 is infinite, but the demand on ev(s(z)) is not.
     prog = parse_program("nat(z).\nnat(s(X)) :- nat(X).\nev(z).\nev(s(s(X))) :- ev(X).\n"
                          "odd(X) :- nat(X), not(ev(X)).\n")
     j = prove(prog, frozenset(), parse_term("odd(s(z))"))
