@@ -14,7 +14,7 @@ import sys
 from . import components, engine, justify, meta, oracle
 from .errors import AllowabilityError, IndsemError, ParseError, ResourceLimitError
 from .parser import Program, parse_paramset, parse_program, parse_query
-from .terms import is_ground, term_to_str, variables_of
+from .terms import ANONYMOUS, term_to_str, variables_of
 
 
 def _name_arity(text: str) -> tuple[str, int]:
@@ -150,12 +150,15 @@ def _load_checked(args):
 
 
 def _print_answers(goal, answers) -> None:
-    if is_ground(goal):
+    """One line per distinct binding of the goal's named variables, or
+    `true.`/`false.` for a goal without any (ground, or with `_` only)."""
+    names = [n for n in variables_of(goal) if not n.startswith(ANONYMOUS)]
+    if not names:
         print("true." if answers else "false.")
         return
-    names = variables_of(goal)
-    for s in answers:
-        print(", ".join(f"{n} = {term_to_str(s[n])}" for n in names if n in s))
+    for line in dict.fromkeys(", ".join(f"{n} = {term_to_str(s[n])}" for n in names if n in s)
+                              for s in answers):
+        print(line)
 
 
 def _oracle_check(prog, params, atoms, out=sys.stderr) -> bool:

@@ -17,7 +17,10 @@ rule is guarded by the demand projected onto the paths the head has.
 
 The templates that negative conditions read are kept unchanged and evaluated
 in full, so the rewritten program is stratified whenever demand never reaches
-a rule whose head unifies with one of theirs.
+a rule whose head unifies with one of theirs.  So are the program's ground
+facts: a guard would make each of them a rule that every round delivering
+demand for its functor/arity visits, while unguarded they cost what
+parameters cost.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Optional
 
 from .engine import _keyed
 from .parser import Program, RuleTemplate
-from .terms import Compound, Term, Var, functor_index, functors_of, unifiable, variables_of
+from .terms import (Compound, Term, Var, functor_index, functors_of, is_ground, unifiable,
+                    variables_of)
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,7 @@ def rewrite(program: Program, goals) -> Optional[Rewrite]:
         return None
     relevant = depends(templates, goals)
     kept = depends(templates, [n for k in relevant for n in templates[k].neg_body])
+    kept |= {k for k in relevant if templates[k].is_fact and is_ground(templates[k].head)}
     rules: dict = {}  # head functor/arity -> the templates that demand guards
     for k in sorted(relevant - kept):
         rules.setdefault((templates[k].head.functor, len(templates[k].head.args)), []).append(templates[k])

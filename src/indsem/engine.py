@@ -7,7 +7,8 @@ before it bind; negative conditions are tested against the parameter set, and
 the head must be ground.  After the first round, an instance fires only if
 some body literal matches an atom new since the round before (semi-naive
 evaluation): each such position is joined first, against those new atoms
-alone, and the other literals after it.  The instance that first derives an
+alone, and the other literals after it, by a join compiled the first time a
+round reaches that position.  The instance that first derives an
 atom is its witness.  Strata grow that one set bottom-up, each reading it as
 parameters.
 """
@@ -131,39 +132,48 @@ def _steps(lits) -> tuple:
 
 
 class _Plan:
-    """A stratum's templates compiled once per call over the index: per
-    template, the join of the first round in written order, and per positive
-    body position d the join of a later round, with the step that reads delta.
-    That join takes literal d first, then the literals before it nearest first
-    and the ones after it in order: a body written so that each literal is
-    bound by those before it (as the demand rewrite writes them) is then
-    joined along the same chain, each lookup keyed.  A template with a
-    variable body literal keeps the written order, so an unbound literal fails
-    where it is written.  A round visits the body positions delta can match."""
+    """A stratum's templates compiled over the index: per template, the join
+    of the first round in written order, and per positive body position d
+    the join of a later round, with the step that reads delta, compiled the
+    first time a round's delta reaches d (a round of a non-recursive stratum
+    after the first reaches none).  That join takes literal d first, then the
+    literals before it nearest first and the ones after it in order: a body
+    written so that each literal is bound by those before it (as the demand
+    rewrite writes them) is then joined along the same chain, each lookup
+    keyed.  A template with a variable body literal keeps the written order,
+    so an unbound literal fails where it is written.  A round visits the body
+    positions delta can match."""
 
     def __init__(self, program: Program, index: _Index):
-        self.index, self.compiled, self.pairs = index, [], []
-        for k, t in enumerate(program.templates):
-            lits = t.pos_body
-            written = _steps(lits)
-            if any(isinstance(lit, Var) for lit in lits):
-                per_d = [(written, d) for d in range(len(lits))]
-            else:
-                per_d = [(_steps((*lits[d::-1], *lits[d + 1:])), 0) for d in range(len(lits))]
-            self.compiled.append((t, (written, -1), per_d))
-            self.pairs.extend((k, d, lit) for d, lit in enumerate(lits))
+        self.index, self.templates = index, program.templates
+        self.first = [(_steps(t.pos_body), -1) for t in self.templates]
+        self.later = {}  # (template, delta position) -> its join
+        self.pairs = [(k, d, lit) for k, t in enumerate(self.templates) for d, lit in enumerate(t.pos_body)]
         self.at = {}  # functor/arity -> positions of pairs; None -> variable literals
         for j, (_, _, lit) in enumerate(self.pairs):
             self.at.setdefault(None if isinstance(lit, Var) else (lit.functor, len(lit.args)), []).append(j)
 
+    def compiled(self, k, d):
+        """Template k's steps and the one that reads delta: the first round's
+        join for d None, else the one reading delta at body position d."""
+        if d is None:
+            return self.first[k]
+        if (k, d) not in self.later:
+            lits = self.templates[k].pos_body
+            if any(isinstance(lit, Var) for lit in lits):
+                self.later[k, d] = (self.first[k][0], d)
+            else:
+                self.later[k, d] = (_steps((*lits[d::-1], *lits[d + 1:])), 0)
+        return self.later[k, d]
+
     def passes(self, delta):
         """(template, delta position) pairs of a round: with delta None (the
         first round) every template once, else the positions whose literal
-        shares a functor/arity with delta (an _Index, grouped by it)."""
+        shares a functor/arity with an atom of delta."""
         if delta is None:
-            return [(k, None) for k in range(len(self.compiled))]
-        sigs = (None, *delta.tables) if delta.tables else ()
-        found = {j for sig in sigs for j in self.at.get(sig, ())}
+            return [(k, None) for k in range(len(self.templates))]
+        sigs = {(a.functor, len(a.args)) for a in delta}
+        found = {j for sig in ((None, *sigs) if sigs else ()) for j in self.at.get(sig, ())}
         return [self.pairs[j][:2] for j in sorted(found)]
 
 
@@ -171,9 +181,13 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
     """Ground instances firing against `current` with parameter set `params`;
     with `delta` (a subset of `current`), only those using an atom of delta,
     once per body position holding one.  `plan` compiles the program over an
-    index of both."""
+    index of both.  A round that delta reaches at no body position returns
+    before indexing delta."""
     if plan is None:
         plan = _Plan(program, _Index(current | params))
+    pairs = plan.passes(delta)
+    if not pairs:
+        return
     news = None if delta is None else _Index(delta)  # delta grouped by functor/arity once
 
     def join(i, s, matched):  # step `reads` against delta, the others against all
@@ -183,7 +197,7 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
             a = apply_subst(lit, s)
             if isinstance(a, Var):
                 raise UncallableLiteralError(
-                    f"{t.loc}: body literal {lit.name} is unbound when reached"
+                    f"{t.loc}: body literal {term_to_str(lit)} is unbound when reached"
                 )
             bucket = [a] if a in index.atoms else ()
         else:
@@ -200,9 +214,9 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
                 m = matched + (a,)
                 yield from join(i + 1, s2, m) if i + 1 < len(steps) else ((s2, m),)
 
-    for k, d in plan.passes(news):
-        t, first, per_d = plan.compiled[k]
-        steps, reads = first if d is None else per_d[d]
+    for k, d in pairs:
+        t = plan.templates[k]
+        steps, reads = plan.compiled(k, d)
         for s, matched in join(0, {}, ()) if steps else [({}, ())]:
             negs = [apply_subst(n, s) for n in t.neg_body]
             bad = [n for n in negs if not is_ground(n)]

@@ -1,7 +1,9 @@
 """Program text ingestion: tokenizer, term/clause parser, facts and queries.
 
 Syntax is deliberately small: `:-`, `,`, `not(...)`, `%` comments, clauses
-terminated by `.` followed by whitespace or end of input.  A `#object`
+terminated by `.` followed by whitespace or end of input.  Each `_` is a
+variable of its own, named `_#1`, `_#2`, ... (no source variable contains
+`#`), which `term_to_str` prints as `_` again.  A `#object`
 directive routes all following clauses into the object program (consumed by
 the meta module).  Parenthesized comma groups are conjunctions when they
 occur as body items and `','/2` compounds everywhere else, so the head of
@@ -10,12 +12,13 @@ occur as body items and `','/2` compounds everywhere else, so the head of
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonGroundParameterError, ParseError
-from .terms import Compound, Term, Var, is_ground, term_to_str
+from .terms import ANONYMOUS, Compound, Term, Var, is_ground, term_to_str
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ class _Parser:
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.i = 0
+        self.anonymous = itertools.count(1)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -160,7 +164,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "VAR":
             self.next()
-            return Var(tok.text)
+            return Var(f"{ANONYMOUS}{next(self.anonymous)}" if tok.text == "_" else tok.text)
         if tok.kind in ("NAME", "INT", "QUOTED"):
             self.next()
             name = _unquote(tok.text) if tok.kind == "QUOTED" else tok.text

@@ -42,6 +42,9 @@ class Compound:
 
 Term = Union[Var, Compound]
 
+# The prefix of the parser's name for each occurrence of `_`, printed as `_`.
+ANONYMOUS = "_#"
+
 
 def atom(name: str) -> Compound:
     return Compound(name)
@@ -198,11 +201,36 @@ def rename_term(t: Term, mapping: dict[str, Var]) -> Term:
     return Compound(t.functor, tuple(rename_term(a, mapping) for a in t.args))
 
 
+def _add_vars(t: Term, names: set) -> bool:
+    """Add t's variable names to names; False at the first one already there."""
+    if type(t) is Var:
+        if t.name in names:
+            return False
+        names.add(t.name)
+        return True
+    return all(_add_vars(a, names) for a in t.args)
+
+
 def unifiable(a: Term, b: Term) -> bool:
-    """Unifiability after standardizing both sides apart."""
-    ra = rename_term(a, {})
-    rb = rename_term(b, {})
-    return unify(ra, rb) is not None
+    """Unifiability after standardizing both sides apart, in one walk over
+    both terms that keeps each side's variables apart.  A functor/arity clash
+    answers False.  Without a variable repeated on its own side the answer is
+    True: each variable is then bound once, to the subterm at its position on
+    the other side, which shares none of its variables, so neither a conflict
+    nor an occurs-check failure can arise.  Only a repeated variable falls
+    back to unifying renamed copies."""
+    left, right = set(), set()
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is Var or type(y) is Var:
+            if not (_add_vars(x, left) and _add_vars(y, right)):
+                return unify(rename_term(a, {}), rename_term(b, {})) is not None
+        elif x.functor != y.functor or len(x.args) != len(y.args):
+            return False
+        else:
+            todo.extend(zip(x.args, y.args))
+    return True
 
 
 def functor_index(terms):
@@ -252,7 +280,7 @@ def _functor_str(name: str) -> str:
 
 def term_to_str(t: Term) -> str:
     if isinstance(t, Var):
-        return t.name
+        return "_" if t.name.startswith(ANONYMOUS) else t.name
     if not t.args:
         return _functor_str(t.functor)
     inner = ",".join(term_to_str(a) for a in t.args)

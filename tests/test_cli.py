@@ -140,6 +140,17 @@ def test_query_ground(capsys):
     assert (code, out) == (0, "false.\n")
 
 
+@pytest.mark.parametrize("goal, expected", [
+    ("tc(_,Y)", "Y = 2\nY = 3\n"),  # one line per distinct binding of Y
+    ("tc(_,_)", "true.\n"),
+    ("tc(3,_)", "false.\n"),
+])
+def test_query_lists_named_variables_only(capsys, goal, expected):
+    code, out, _ = run(capsys, "query", _p("tc_small.ind"),
+                       "--facts", _p("tc_small.facts"), "-q", goal)
+    assert (code, out) == (0, expected)
+
+
 def test_explain_prints_justification(capsys):
     code, out, _ = run(capsys, "explain", _p("tc_small.ind"),
                        "--facts", _p("tc_small.facts"), "-q", "tc(1,3)")

@@ -28,7 +28,7 @@ from indsem.justify import (
     verify_report,
 )
 from indsem.meta import assemble_meta, wrap, wrap_atoms
-from indsem.parser import Program, parse_paramset, parse_program, parse_term
+from indsem.parser import Program, RuleTemplate, parse_paramset, parse_program, parse_term
 from indsem.terms import Compound, apply_subst, sort_key, variables_of
 
 TC = parse_program("tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n")
@@ -284,7 +284,12 @@ def test_demand_driven_justifications_equal_full_evaluation(rules, facts, data):
     if case is None:
         return
     program, params, model = case
+    # Some parameters written in the program as facts instead.
+    written = data.draw(st.sets(st.sampled_from(sorted(params, key=sort_key)))) if params else set()
+    program += Program(tuple(RuleTemplate(a) for a in sorted(written, key=sort_key)))
+    params -= written
     full = engine.least_fixpoint(program, params)
+    assert full.atoms == model
     for goal in sorted(model | _head_instances(program, data), key=sort_key):
         expected = (format_justification(justify._sequence(goal, full.why.get))
                     if goal in model else None)
@@ -336,6 +341,26 @@ def test_a_goal_fires_instances_linear_in_the_chain(monkeypatch, program, wrappe
     assert len(fired) <= 5 * n
     if j is not None:
         assert fired and verify(program, params, j)
+
+
+@pytest.mark.parametrize("goal", ["tc(0,1)", "tc(0,800)"])
+@pytest.mark.parametrize("program", [TC, LEFT_TC], ids=["right", "left"])
+def test_program_facts_cost_what_parameters_cost_under_demand(monkeypatch, program, goal):
+    # Guarded by demand, each edge fact would be a rule that every round
+    # delivering demand for edge/2 visits: n pairs a round, over 2n-3n rounds.
+    n, visited = 800, []
+    passes = engine._Plan.passes
+
+    def counted(self, delta):
+        pairs = passes(self, delta)
+        visited.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(engine._Plan, "passes", counted)
+    program += Program(tuple(RuleTemplate(a) for a in sorted(_chain(n), key=sort_key)))
+    j = prove(program, frozenset(), parse_term(goal))
+    assert j is not None and verify(program, frozenset(), j)
+    assert sum(visited) <= 10 * n
 
 
 @pytest.mark.parametrize("text, goal", [

@@ -148,3 +148,12 @@ def test_program_print_parse_roundtrip():
 
 def test_empty_program():
     assert parse_program("") == Program()
+
+
+def test_each_anonymous_variable_is_its_own():
+    t = parse_program("p(X) :- q(X,_), r(_).\n").templates[0]
+    (x, first), (second,) = t.pos_body[0].args, t.pos_body[1].args
+    assert isinstance(first, Var) and isinstance(second, Var) and first != second
+    assert x == Var("X") and "#" in first.name  # no source variable can clash
+    assert template_to_str(t) == "p(X) :- q(X,_), r(_)."
+    assert program_to_str(parse_program(program_to_str(Program((t,))))) == "p(X) :- q(X,_), r(_).\n"

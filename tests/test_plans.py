@@ -7,17 +7,24 @@ match.  `answers` must equal sort-then-match.
 """
 
 import itertools
+import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_components import _rules
 from test_seminaive import _bodies, _positive_rules, _shaped, _wrapped
-from indsem import engine
+from indsem import engine, terms
 from indsem.errors import IndsemError
 from indsem.parser import parse_paramset, parse_program, parse_term
 from indsem.terms import Var, apply_subst, match, sort_key
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def _nested_loops(program, params, current, delta=None):
@@ -115,6 +122,48 @@ def test_rounds_visit_only_the_positions_delta_can_match(monkeypatch):
     # The first round visits every template once, each later one a single
     # (template, body position) pair: not every template every round.
     assert sum(visited) <= 2 * len(program.templates)
+
+
+def _layered():
+    """The benchmark's largest layered-negation program: every stratum is one
+    predicate's two templates, none recursive."""
+    lay = workloads.layered_program(162, 4, workloads._Namer("", 0), random.Random(0))
+    return parse_program(lay.program), parse_paramset(lay.facts)
+
+
+def test_stratifying_renames_no_term(monkeypatch):
+    program, _ = _layered()
+    renamed = []
+    rename_term = terms.rename_term
+
+    def counted(t, mapping):
+        renamed.append(t)
+        return rename_term(t, mapping)
+
+    monkeypatch.setattr(terms, "rename_term", counted)
+    strata = engine.strata(program)
+    # Unifiable heads share a stratum: one per head predicate.
+    assert len(strata) == len(program.templates) // 2
+    assert renamed == []
+
+
+def test_non_recursive_strata_compile_one_join_per_template_and_no_delta_index(monkeypatch):
+    program, params = _layered()
+    compiled, indexed = [], []
+    steps, index = engine._steps, engine._Index
+
+    class Recording(index):
+        def __init__(self, atoms=()):
+            indexed.append(self)
+            super().__init__(atoms)
+
+    monkeypatch.setattr(engine, "_steps", lambda lits: compiled.append(lits) or steps(lits))
+    monkeypatch.setattr(engine, "_Index", Recording)
+    engine.least_fixpoint(program, params)
+    # Each stratum's second round reaches no body literal: its delta holds
+    # only the stratum's own heads, which no body of it reads.
+    assert len(compiled) == len(program.templates)
+    assert len(indexed) == 1  # the evaluation's own
 
 
 # ---------------------------------------------------------------------------

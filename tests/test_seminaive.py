@@ -5,7 +5,10 @@ with the brute-force oracle; every derived atom must have a justification
 that verify() accepts, and every other atom none.
 """
 
-from hypothesis import given, strategies as st
+import itertools
+import re
+
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_model
 from test_components import _literals, _rules
@@ -105,3 +108,34 @@ def test_every_derived_atom_and_no_other_is_justified(rules, facts):
             assert justify.verify(program, params, j), justify.verify_report(program, params, j)
         else:
             assert j is None
+
+
+def test_anonymous_variables_do_not_join():
+    program = parse_program("p(X) :- q(X,_), r(_).\ns(X) :- q(X,Y), r(Z).\nq(a,b).\nr(c).\n")
+    assert engine.least_fixpoint(program, frozenset()).atoms >= {parse_term("p(a)"), parse_term("s(a)")}
+
+
+def _pairs(leaves):
+    """Binary literals over two names, so that a body literal with two `_`
+    often meets an atom whose two arguments differ."""
+    return st.builds("{}({},{})".format, st.sampled_from("qr"), *[st.sampled_from(leaves)] * 2)
+
+
+_anonymous_rules = st.builds(
+    lambda head, body: f"{head} :- {', '.join(body)}.\n",
+    st.sampled_from(["h", "h(X)", "holds(h(X))"]),
+    st.lists(_wrapped(_pairs(["a", "X", "_"])), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_anonymous_rules, min_size=1, max_size=3),
+       st.lists(_wrapped(_pairs(["a", "b", "c"])), min_size=2, max_size=8))
+def test_anonymous_variables_are_fresh_per_occurrence(anonymous, facts):
+    # The same model as with every `_` replaced by a fresh named variable.
+    fresh = itertools.count()
+    named = [re.sub(r"\b_\b", lambda m: f"V{next(fresh)}", r) for r in anonymous]
+    with_anonymous, with_named = _case(anonymous, facts), _case(named, facts)
+    assert (with_anonymous is None) == (with_named is None)
+    if with_anonymous is not None:
+        assert with_anonymous[1:] == with_named[1:]

@@ -1,7 +1,7 @@
 """Term representation: matching, unification, ordering, printing."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from indsem.errors import ParseError
 from indsem.parser import parse_term
@@ -148,6 +148,26 @@ def test_unifiable_standardizes_apart():
     # Same variable name on both sides must not be read as the same variable.
     assert unifiable(parse_term("f(X,a)"), parse_term("f(b,X)"))
     assert not unifiable(parse_term("f(a)"), parse_term("g(a)"))
+    # Repeated variables: an occurs-check failure and a conflict.
+    assert not unifiable(parse_term("f(X,X)"), parse_term("f(Y,g(Y))"))
+    assert not unifiable(parse_term("f(X,X)"), parse_term("f(a,b)"))
+    assert unifiable(parse_term("f(X,X)"), parse_term("f(Y,g(Z))"))
+
+
+# Few variable names, so that both sides repeat them and share them, and
+# two functors, so that most pairs get past the first arguments unclashed.
+_close_terms = st.recursive(
+    st.sampled_from([Var("X"), Var("Y"), Var("Z"), Compound("a")]),
+    lambda inner: st.builds(lambda x, y: Compound("f", (x, y)), inner, inner)
+    | st.builds(lambda x: Compound("g", (x,)), inner),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(_close_terms, _close_terms)
+def test_unifiable_equals_unifying_renamed_copies(a, b):
+    assert unifiable(a, b) == (unify(rename_term(a, {}), rename_term(b, {})) is not None)
 
 
 def test_functor_index_candidates():
