@@ -176,7 +176,7 @@ def _oracle_check(prog, params, atoms, out=sys.stderr) -> bool:
 
 def _cmd_model(args) -> int:
     prog, params = _load_checked(args)
-    model = engine.least_fixpoint(prog, params, _limits(args))
+    model = engine.least_fixpoint(prog, params, _limits(args), witnesses=False)
     sys.stdout.write(engine.dump_model(model.atoms))
     if args.oracle and not _oracle_check(prog, params, model.atoms):
         return 1
@@ -186,7 +186,7 @@ def _cmd_model(args) -> int:
 def _cmd_query(args) -> int:
     prog, params = _load_checked(args)
     goal = parse_query(args.query)
-    model = engine.least_fixpoint(prog, params, _limits(args))
+    model = engine.least_fixpoint(prog, params, _limits(args), witnesses=False)
     _print_answers(goal, engine.answers(model.atoms, goal))
     if args.oracle and not _oracle_check(prog, params, model.atoms):
         return 1
@@ -271,7 +271,7 @@ def _cmd_repl(args) -> int:
 
     def model():
         if "m" not in cache:
-            cache["m"] = engine.least_fixpoint(prog, params, _limits(args))
+            cache["m"] = engine.least_fixpoint(prog, params, _limits(args), witnesses=False)
         return cache["m"]
 
     while True:

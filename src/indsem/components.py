@@ -146,7 +146,7 @@ def satisfies(model, program: Program, limits: Optional[engine.Limits] = None) -
     seeded by its own non-head body atoms, on the head region."""
     sig = signature(program)
     heads, bodies, _ = ground_projection(sig, model)
-    fixed = engine.least_fixpoint(program, frozenset(bodies - heads), limits)
+    fixed = engine.least_fixpoint(program, frozenset(bodies - heads), limits, witnesses=False)
     return ground_projection(sig, fixed.atoms)[0] == heads
 
 

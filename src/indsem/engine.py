@@ -2,15 +2,18 @@
 
 Templates are grounded on demand by join plans compiled once per stratum:
 positive body literals are looked up in one index of the growing atom set
-(derived atoms plus parameters), each keyed on the subterms the literals
-before it bind; negative conditions are tested against the parameter set, and
-the head must be ground.  After the first round, an instance fires only if
+(derived atoms plus parameters, all ground), each keyed on the subterms the
+literals before it bind; negative conditions are tested against the
+parameter set, and the head must be ground.  A head whose arguments are
+each ground or a variable of the positive body is read straight from the
+substitution.  After the first round, an instance fires only if
 some body literal matches an atom new since the round before (semi-naive
 evaluation): each such position is joined first, against those new atoms
 alone, and the other literals after it, by a join compiled the first time a
-round reaches that position.  The instance that first derives an
-atom is its witness.  Strata grow that one set bottom-up, each reading it as
-parameters.
+round reaches that position.  An evaluation that keeps witnesses records,
+for each derived atom, the instance that first derives it; one that does
+not (`witnesses=False`) builds only the heads.  Strata grow that one set
+bottom-up, each reading it as parameters.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .errors import (
     NegativeQueryError,
     NonGroundHeadError,
     NonGroundNegationError,
+    NonGroundParameterSetError,
     ResourceLimitError,
     UncallableLiteralError,
     VariableHeadRestrictionError,
@@ -97,12 +101,20 @@ class _Index:
 
     @staticmethod
     def _insert(table, paths, atoms):
-        for a in atoms:
-            try:
-                key = tuple([reduce(lambda t, i: t.args[i], path, a) for path in paths])
-            except IndexError:
-                continue  # a shape that no literal with these paths matches
-            table.setdefault(key, []).append(a)
+        if not paths:
+            table.setdefault((), []).extend(atoms)
+        elif all(len(path) == 1 for path in paths):  # argument positions of one functor/arity
+            cols = [i for (i,) in paths]
+            for a in atoms:
+                args = a.args
+                table.setdefault(tuple([args[i] for i in cols]), []).append(a)
+        else:
+            for a in atoms:
+                try:
+                    key = tuple([reduce(lambda t, i: t.args[i], path, a) for path in paths])
+                except IndexError:
+                    continue  # a shape that no literal with these paths matches
+                table.setdefault(key, []).append(a)
 
 
 def _keyed(term, bound, path=()):
@@ -131,6 +143,33 @@ def _steps(lits) -> tuple:
     return tuple(steps)
 
 
+def _ground_index(atoms) -> _Index:
+    """An index of atoms, each of which must be ground: the joins bind
+    variables to their subterms, and a head read from those bindings is not
+    tested again."""
+    bad = next((a for a in atoms if not is_ground(a)), None)
+    if bad is not None:
+        raise NonGroundParameterSetError(f"parameter {term_to_str(bad)} is not ground")
+    return _Index(atoms)
+
+
+def _builder(head, bound):
+    """A function building head's instance from a substitution that binds
+    each variable in `bound` to a ground term, with no walk over head: for a
+    ground head, a variable in bound, or a compound whose arguments are each
+    one of those.  None for any other head, whose instance is built by
+    apply_subst and tested for groundness."""
+    if is_ground(head):
+        return lambda s: head
+    if type(head) is Var:
+        return (lambda s: s[head.name]) if head.name in bound else None
+    spec = [a.name if type(a) is Var else a for a in head.args]
+    if any(x not in bound if type(x) is str else not is_ground(x) for x in spec):
+        return None
+    f = head.functor
+    return lambda s: Compound(f, tuple([s[x] if type(x) is str else x for x in spec]))
+
+
 class _Plan:
     """A stratum's templates compiled over the index: per template, the join
     of the first round in written order, and per positive body position d
@@ -147,6 +186,8 @@ class _Plan:
     def __init__(self, program: Program, index: _Index):
         self.index, self.templates = index, program.templates
         self.first = [(_steps(t.pos_body), -1) for t in self.templates]
+        self.heads = [_builder(t.head, {v for lit in t.pos_body for v in variables_of(lit)})
+                      for t in self.templates]
         self.later = {}  # (template, delta position) -> its join
         self.pairs = [(k, d, lit) for k, t in enumerate(self.templates) for d, lit in enumerate(t.pos_body)]
         self.at = {}  # functor/arity -> positions of pairs; None -> variable literals
@@ -177,20 +218,22 @@ class _Plan:
         return [self.pairs[j][:2] for j in sorted(found)]
 
 
-def fired_instances(program: Program, params, current, delta=None, plan=None) -> Iterator[GroundRule]:
+def fired_instances(program: Program, params, current, delta=None, plan=None,
+                    witnesses=True) -> Iterator:
     """Ground instances firing against `current` with parameter set `params`;
     with `delta` (a subset of `current`), only those using an atom of delta,
     once per body position holding one.  `plan` compiles the program over an
-    index of both.  A round that delta reaches at no body position returns
-    before indexing delta."""
+    index of both.  Yields each instance's GroundRule, or with `witnesses`
+    False its head alone.  A round that delta reaches at no body position
+    returns before indexing delta."""
     if plan is None:
-        plan = _Plan(program, _Index(current | params))
+        plan = _Plan(program, _ground_index(current | params))
     pairs = plan.passes(delta)
     if not pairs:
         return
     news = None if delta is None else _Index(delta)  # delta grouped by functor/arity once
 
-    def join(i, s, matched):  # step `reads` against delta, the others against all
+    def join(i, s):  # step `reads` against delta, the others against all
         lit, sig, paths, parts, free = steps[i]
         index = news if i == reads else plan.index
         if sig is None:
@@ -211,45 +254,57 @@ def fired_instances(program: Program, params, current, delta=None, plan=None) ->
                 elif (s2 := match(p, a.args[j], s2)) is None:
                     break
             else:  # the last literal yields without one more generator
-                m = matched + (a,)
-                yield from join(i + 1, s2, m) if i + 1 < len(steps) else ((s2, m),)
+                matched[i] = a  # read by the consumer before the join resumes
+                if i < last:
+                    yield from join(i + 1, s2)
+                else:
+                    yield s2
 
     for k, d in pairs:
-        t = plan.templates[k]
+        t, build = plan.templates[k], plan.heads[k]
         steps, reads = plan.compiled(k, d)
-        for s, matched in join(0, {}, ()) if steps else [({}, ())]:
-            negs = [apply_subst(n, s) for n in t.neg_body]
-            bad = [n for n in negs if not is_ground(n)]
-            if bad:
-                raise NonGroundNegationError(
-                    f"{t.loc}: negative condition {term_to_str(bad[0])} "
-                    "is not ground after matching the positive body"
-                )
-            if not params.isdisjoint(negs):
-                continue
-            head = apply_subst(t.head, s)
-            if not is_ground(head):
-                raise NonGroundHeadError(
-                    f"{t.loc}: head {term_to_str(head)} is not ground "
-                    "after matching the positive body"
-                )
-            yield GroundRule(head, frozenset(matched), frozenset(negs), t.loc)
+        matched, last = [None] * len(steps), len(steps) - 1
+        for s in join(0, {}) if steps else ({},):
+            negs = ()
+            if t.neg_body:
+                negs = [apply_subst(n, s) for n in t.neg_body]
+                bad = [n for n in negs if not is_ground(n)]
+                if bad:
+                    raise NonGroundNegationError(
+                        f"{t.loc}: negative condition {term_to_str(bad[0])} "
+                        "is not ground after matching the positive body"
+                    )
+                if not params.isdisjoint(negs):
+                    continue
+            if build is None:
+                head = apply_subst(t.head, s)
+                if not is_ground(head):
+                    raise NonGroundHeadError(
+                        f"{t.loc}: head {term_to_str(head)} is not ground "
+                        "after matching the positive body"
+                    )
+            else:
+                head = build(s)
+            yield GroundRule(head, frozenset(matched), frozenset(negs), t.loc) if witnesses else head
 
 
 def apply_T(program: Program, params, current, delta=None, why=None, plan=None,
             within=None) -> set:
     """One step's increment: the heads of firing instances not in `current`
     (and in `within`, if given).  With `delta`, only instances using an atom
-    of delta fire; `why` receives each such head's canonically least
-    instance, which set order cannot change."""
+    of delta fire.  Without `why`, only heads are built; `why` receives each
+    new head's canonically least instance, which set order cannot change."""
+    if why is None:
+        out = {h for h in fired_instances(program, params, current, delta, plan, witnesses=False)
+               if h not in current}
+        return out if within is None else out.intersection(within)
     out = set()
     for inst in fired_instances(program, params, current, delta, plan):
         if inst.head not in current and (within is None or inst.head in within):
             out.add(inst.head)
-            if why is not None:
-                first = why.setdefault(inst.head, inst)
-                if first is not inst and _canonical(inst) < _canonical(first):
-                    why[inst.head] = inst
+            first = why.setdefault(inst.head, inst)
+            if first is not inst and _canonical(inst) < _canonical(first):
+                why[inst.head] = inst
     return out
 
 
@@ -257,9 +312,10 @@ def _canonical(r: GroundRule):
     return sorted(map(sort_key, r.body)), sorted(map(sort_key, r.negs)), str(r.loc)
 
 
-def _iterate(program: Program, limits: Limits, why: dict, index: _Index, within) -> None:
+def _iterate(program: Program, limits: Limits, why, index: _Index, within) -> None:
     """Rounds adding to the index until one adds no atom: the first fires every
-    instance, each later one only those using an atom new in the one before."""
+    instance, each later one only those using an atom new in the one before.
+    `why` (None for heads only) receives the witnesses."""
     plan, current, delta = _Plan(program, index), index.atoms, None
     # Negation reads the growing set, exactly: depgraph puts unifiable heads in
     # one component and no negative edge inside one, so nothing derived here
@@ -279,8 +335,10 @@ def strata(program: Program) -> tuple:
     return (program.templates,)
 
 
-def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) -> ModelSet:
-    """Least set containing the parameters and closed under the program.
+def least_fixpoint(program: Program, params, limits: Optional[Limits] = None,
+                   witnesses: bool = True) -> ModelSet:
+    """Least set containing the parameters and closed under the program, with
+    each derived atom's witness unless `witnesses` is False.
 
     Allowability of the parameter set is the caller's obligation (see
     components.check_allowable).
@@ -294,21 +352,23 @@ def least_fixpoint(program: Program, params, limits: Optional[Limits] = None) ->
             "variable-head programs require an empty parameter set" if params
             else "variable-head programs cannot use negation"
         )
-    return evaluate(strata(program), params, limits)
+    return evaluate(strata(program), params, limits, witnesses=witnesses)
 
 
-def evaluate(strata, params, limits: Optional[Limits] = None, within=None) -> ModelSet:
-    """The strata evaluated in order over one growing set from the parameters.
+def evaluate(strata, params, limits: Optional[Limits] = None, within=None,
+             witnesses: bool = True) -> ModelSet:
+    """The strata evaluated in order over one growing set from the parameters,
+    which must be ground (NonGroundParameterSetError names one that is not).
     With `within`, only its atoms are derived: every other head is dropped
     where it fires.  The atoms kept have the rounds and witnesses of the
     whole evaluation when every instance deriving one of them has its body
     in `within` or the parameters, and `within` holds every true atom that a
-    negative condition reads."""
+    negative condition reads.  With `witnesses` False, `why` stays empty."""
     limits = limits or Limits()
-    index, why = _Index(params), {}
+    index, why = _ground_index(params), {} if witnesses else None
     for stratum in strata:
         _iterate(Program(stratum), limits, why, index, within)
-    return ModelSet(frozenset(index.atoms), why)
+    return ModelSet(frozenset(index.atoms), {} if why is None else why)
 
 
 def answers(atoms, goal: Term) -> list[Subst]:
@@ -324,9 +384,9 @@ def answers(atoms, goal: Term) -> list[Subst]:
 
 def query(program: Program, params, goal: Term, limits: Optional[Limits] = None):
     """All substitutions matching the goal against the computed model."""
-    return answers(least_fixpoint(program, params, limits).atoms, goal)
+    return answers(least_fixpoint(program, params, limits, witnesses=False).atoms, goal)
 
 
 def dump_model(atoms) -> str:
     """Canonical model text: one sorted ground term per line."""
-    return "".join(f"{term_to_str(t)}.\n" for t in sorted(atoms, key=sort_key))
+    return "".join([f"{term_to_str(t)}.\n" for t in sorted(atoms, key=sort_key)])

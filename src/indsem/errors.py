@@ -37,6 +37,10 @@ class NonGroundNegationError(IndsemError):
     pass
 
 
+class NonGroundParameterSetError(IndsemError):
+    """A parameter set given to evaluation holds a term with variables."""
+
+
 class UncallableLiteralError(IndsemError):
     """A bare-variable body literal was reached before being bound."""
 

@@ -265,7 +265,7 @@ def _demanded(program: Program, params, goals, limits: engine.Limits):
         return None
     try:
         return rewritten, engine.least_fixpoint(rewritten.program, params | rewritten.seeds,
-                                                limits).atoms
+                                                limits, witnesses=False).atoms
     except errors.UnstratifiableError:
         return None
 
@@ -372,7 +372,8 @@ def _negated_truth(program: Program, params, negs) -> frozenset:
         return found[1]
     templates = program.templates
     support = demand.depends(templates, [n for t in templates for n in t.neg_body])
-    return engine.least_fixpoint(Program(tuple(templates[k] for k in sorted(support))), params).atoms
+    return engine.least_fixpoint(Program(tuple(templates[k] for k in sorted(support))), params,
+                                 witnesses=False).atoms
 
 
 def verify_report(program: Program, params, j: Justification) -> list[str]:

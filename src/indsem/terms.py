@@ -253,9 +253,9 @@ def functor_index(terms):
 
 def sort_key(t: Term):
     """Key realizing the order: functor name, then arity, then args."""
-    if isinstance(t, Var):
+    if type(t) is Var:
         raise ValueError(f"sort_key requires a ground term, got variable {t.name}")
-    return (t.functor, len(t.args), tuple(sort_key(a) for a in t.args))
+    return (t.functor, len(t.args), tuple([sort_key(a) for a in t.args]))
 
 
 def compare_ground(a: Term, b: Term) -> int:
@@ -279,9 +279,8 @@ def _functor_str(name: str) -> str:
 
 
 def term_to_str(t: Term) -> str:
-    if isinstance(t, Var):
+    if type(t) is Var:
         return "_" if t.name.startswith(ANONYMOUS) else t.name
     if not t.args:
         return _functor_str(t.functor)
-    inner = ",".join(term_to_str(a) for a in t.args)
-    return f"{_functor_str(t.functor)}({inner})"
+    return f"{_functor_str(t.functor)}({','.join([term_to_str(a) for a in t.args])})"

@@ -9,6 +9,7 @@ from indsem.errors import (
     NegativeQueryError,
     NonGroundHeadError,
     NonGroundNegationError,
+    NonGroundParameterSetError,
     ResourceLimitError,
     UncallableLiteralError,
     VariableHeadRestrictionError,
@@ -126,14 +127,38 @@ def test_builtin_conjunction_rule_is_not_materializable():
 
 
 def test_nonground_head_rejected():
-    with pytest.raises(NonGroundHeadError):
-        least_fixpoint(parse_program("q.\np(X) :- q.\n"), frozenset())
+    for witnesses in (True, False):
+        with pytest.raises(NonGroundHeadError):
+            least_fixpoint(parse_program("q.\np(X) :- q.\n"), frozenset(), witnesses=witnesses)
+        # A nested variable that the body does not bind.
+        with pytest.raises(NonGroundHeadError):
+            least_fixpoint(parse_program("q(a).\np(f(X,Y)) :- q(X).\n"), frozenset(),
+                           witnesses=witnesses)
 
 
 def test_nonground_negation_rejected():
     prog = parse_program("p :- a, not(q(X)).\n")
-    with pytest.raises(NonGroundNegationError):
-        least_fixpoint(prog, _atoms("a"))
+    for witnesses in (True, False):
+        with pytest.raises(NonGroundNegationError):
+            least_fixpoint(prog, _atoms("a"), witnesses=witnesses)
+
+
+@pytest.mark.parametrize("witnesses", [True, False])
+@pytest.mark.parametrize("text", ["r :- q(X).\n", "p(X) :- q(X).\n"])
+def test_nonground_parameters_rejected_naming_the_atom(text, witnesses):
+    params = frozenset({parse_term("q(Y)"), parse_term("q(a)")})
+    with pytest.raises(NonGroundParameterSetError, match=r"q\(Y\)"):
+        least_fixpoint(parse_program(text), params, witnesses=witnesses)
+    # A step read on its own checks the atoms it is given.
+    with pytest.raises(NonGroundParameterSetError, match=r"q\(Y\)"):
+        apply_T(parse_program(text), frozenset(), params, why={} if witnesses else None)
+
+
+def test_heads_only_evaluation_keeps_no_witnesses():
+    witnessed = least_fixpoint(TC, EDGES)
+    heads_only = least_fixpoint(TC, EDGES, witnesses=False)
+    assert heads_only.atoms == witnessed.atoms
+    assert heads_only.why == {} and set(witnessed.why) == witnessed.atoms - EDGES
 
 
 def test_variable_head_restrictions():

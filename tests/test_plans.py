@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_components import _rules
 from test_seminaive import _bodies, _positive_rules, _shaped, _wrapped
-from indsem import engine, terms
+from indsem import cli, engine, terms
 from indsem.errors import IndsemError
 from indsem.parser import parse_paramset, parse_program, parse_term
 from indsem.terms import Var, apply_subst, match, sort_key
@@ -72,9 +72,17 @@ def test_fired_instances_equal_nested_loops(positive, rules, atoms, data):
     for delta in (None, _subset(data, current)):
         try:
             fired = Counter(engine.fired_instances(program, params, current, delta))
-        except IndsemError:
-            continue  # an unbound body literal, or a nonground head or condition
-        assert fired == _nested_loops(program, params, current, delta)
+        except IndsemError as exc:  # an unbound body literal, or a nonground head or condition
+            with pytest.raises(type(exc)):
+                list(engine.fired_instances(program, params, current, delta, witnesses=False))
+            continue
+        expected = _nested_loops(program, params, current, delta)
+        assert fired == expected
+        heads = Counter()
+        for rule, n in expected.items():
+            heads[rule.head] += n
+        assert Counter(engine.fired_instances(program, params, current, delta,
+                                              witnesses=False)) == heads
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +113,22 @@ def test_index_insertions_are_linear_in_atoms(monkeypatch, text, n):
     inserted = sum(len(bucket) for _, _, table in tables for bucket in table.values())
     # Extended in place, not rebuilt each round (201-401 rounds here).
     assert inserted <= len(specs) * len(atoms)
+
+
+def test_model_and_query_build_no_ground_rule(monkeypatch, tmp_path, capsys):
+    made = []
+    rule = engine.GroundRule
+    monkeypatch.setattr(engine, "GroundRule", lambda *args, **kwargs: made.append(args) or rule(*args, **kwargs))
+    (tmp_path / "tc.ind").write_text(RIGHT)
+    (tmp_path / "e.facts").write_text("".join(f"edge({i},{i + 1}).\n" for i in range(12)))
+    files = [str(tmp_path / "tc.ind"), "--facts", str(tmp_path / "e.facts")]
+    assert cli.main(["model", *files]) == 0
+    assert cli.main(["query", *files, "-q", "tc(0,X)", "--oracle"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12 + 12 * 13 // 2 + 12
+    assert made == []
+    # The guard sees the instances of an evaluation that keeps witnesses.
+    assert cli.main(["explain", *files, "-q", "tc(0,12)"]) == 0
+    assert made
 
 
 def test_rounds_visit_only_the_positions_delta_can_match(monkeypatch):

@@ -58,15 +58,21 @@ _programs = st.builds(
 _facts = st.lists(_literals | _wrapped(_shaped(["a", "b"])[1]), max_size=6)
 
 
-def _case(rules, facts):
-    """The program, an allowable parameter set and the model, or None when
-    the engine rejects the program (unstratifiable, nonground heads or
-    negative conditions)."""
+def _program_and_params(rules, facts):
+    """The program and an allowable parameter set from the facts."""
     program = parse_program("".join(rules))
     params = frozenset(
         a for a in map(parse_term, facts)
         if is_ground(a) and not any(unifiable(a, t.head) for t in program.templates)
     )
+    return program, params
+
+
+def _case(rules, facts):
+    """The program, an allowable parameter set and the model, or None when
+    the engine rejects the program (unstratifiable, nonground heads or
+    negative conditions)."""
+    program, params = _program_and_params(rules, facts)
     try:
         return program, params, engine.least_fixpoint(program, params).atoms
     except IndsemError:
@@ -92,6 +98,20 @@ def test_fixpoint_equals_naive_iteration_and_oracle(rules, facts):
     program, params, model = case
     assert model == _naive(program, params)
     assert model == oracle_model(program, params, model)
+
+
+def _outcome(program, params, witnesses):
+    try:
+        return engine.least_fixpoint(program, params, witnesses=witnesses).atoms
+    except IndsemError as exc:
+        return type(exc)
+
+
+@given(_programs, _facts)
+def test_heads_only_evaluation_equals_witnessed_evaluation(rules, facts):
+    # The same atoms, or the same error, with and without witnesses.
+    program, params = _program_and_params(rules, facts)
+    assert _outcome(program, params, False) == _outcome(program, params, True)
 
 
 @given(_programs, _facts)
